@@ -41,12 +41,12 @@ trait StateSpace {
   /** Surrogate input features for a state: bitmap ++ [row fraction, column
     * fraction] (the estimator learns performance from these).
     */
-  def features(s: State): Array[Double] = {
-    val fullRows = math.max(1L, rowCountEstimate(full))
+  def features(s: State): Array[Double] =
     s.toVector ++ Array(
       rowCountEstimate(s).toDouble / fullRows,
       layout.attrsOf(s).size.toDouble / math.max(1, layout.attrs.size))
-  }
+
+  private lazy val fullRows: Long = math.max(1L, rowCountEstimate(full))
 
   /** The measure set P (normalized, minimized). */
   def measures: Vector[Measure]
@@ -93,8 +93,12 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
   // sound.
   private val memo = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
 
+  // No Spark job per state: rows and columns come from D_U's driver copy.
   override def evaluate(s: State): Option[EvalResult] =
-    memo.getOrElseUpdate(s, task.evaluate(universal.materialize(s)))
+    memo.getOrElseUpdate(s, {
+      val d = universal.driverRows(s)
+      task.evaluate(d.attrs, d.keys, d.target, d.x)
+    })
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)
 }

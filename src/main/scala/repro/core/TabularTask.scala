@@ -49,8 +49,10 @@ final class TabularTask(
           "mae" -> r.raw.getOrElse("mae", 1.0)))
   }
 
-  /** Evaluate a materialized dataset; None when it is too small to train or
-    * (classification) misses a class in the train split.
+  /** Evaluate a materialized dataset: collect it in key order and hand it
+    * to the shared evaluation below. Calibration, Original and the
+    * baselines come through here; the search's states come through
+    * [[TabularSpace.evaluate]] from the driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
     val featCols = df.columns.filterNot(c => c == lake.key || c == lake.target).toVector
@@ -60,22 +62,19 @@ final class TabularTask(
     // function of the dataset.
     val rows = df.select((lake.key +: lake.target +: featCols).map(col): _*)
       .collect().sortBy(_.getLong(0))
-    if (rows.length < MinRows) return None
+    evaluate(featCols, rows.map(_.getLong(0)), rows.map(Frame.doubleAt(_, 1)),
+      rows.map(r => Array.tabulate(featCols.length)(j => Frame.doubleAt(r, j + 2))))
+  }
 
-    val n = rows.length
-    val ids = new Array[Long](n)
-    val y = new Array[Double](n)
-    val x = new Array[Array[Double]](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      ids(i) = r.getLong(0)
-      y(i) = r.getDouble(1)
-      x(i) = Array.tabulate(featCols.length) { j =>
-        if (r.isNullAt(j + 2)) Double.NaN else anyToDouble(r.get(j + 2))
-      }
-      i += 1
-    }
+  /** Evaluate a dataset held in the driver: row `i` has key `ids(i)`, label
+    * `y(i)` and features `x(i)` in `featCols` order (NaN = missing), rows in
+    * key order. None when it is too small to train or (classification)
+    * misses a class in the train split.
+    */
+  def evaluate(featCols: Vector[String], ids: Array[Long], y: Array[Double],
+               x: Array[Array[Double]]): Option[EvalResult] = {
+    val n = ids.length
+    if (featCols.isEmpty || n < MinRows) return None
     val testMask = ids.map(_ % 5 == 0)
     val trIdx = (0 until n).filterNot(testMask(_)).toArray
     val teIdx = (0 until n).filter(testMask(_)).toArray
@@ -150,14 +149,6 @@ final class TabularTask(
 
 object TabularTask {
   val MinRows = 40
-
-  private def anyToDouble(a: Any): Double = a match {
-    case d: Double => d
-    case l: Long   => l.toDouble
-    case i: Int    => i.toDouble
-    case f: Float  => f.toDouble
-    case other     => other.toString.toDouble
-  }
 
   /** The paper's task → (model, measure set) assignment (Tables 3–6). */
   def forLake(lake: TabularLake): TabularTask = lake.name match {

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.lake.TabularLake
+import repro.ml.Frame
 import repro.util.KMeans1D
 
 /** The universal table D_U (Section 5.1 "Reduce-from-Universal"): the
@@ -10,6 +11,9 @@ import repro.util.KMeans1D
   * attribute active-domain clustering (1-D k-means, Section 6) materialized
   * as hidden `__cl_<attr>` columns so reduct literals become cheap cluster
   * filters.
+  *
+  * The search evaluates states from [[driverCopy]], D_U collected into the
+  * driver once; [[materialize]] stays the Spark reference the oracle checks.
   */
 final case class UniversalTable(
     df: DataFrame,
@@ -44,14 +48,89 @@ final case class UniversalTable(
       else acc && col(hiddenCol(seg)).isin(allowed.toSeq: _*)
     }
 
+  // Bit index of each cluster of each segment attribute, in layout.segAttrs order.
+  private lazy val clusterBits: Array[Array[Int]] =
+    layout.segAttrs.map(seg => Array.tabulate(clusterings(seg).k)(layout.clusterIdx(seg, _))).toArray
+
+  private lazy val combos: Array[(Array[Int], Long)] =
+    segCounts.iterator.map { case (combo, c) => (combo.toArray, c) }.toArray
+
+  /** One allowed-cluster mask per segment attribute (layout.segAttrs order). */
+  private def allowed(s: State): Array[Array[Boolean]] = clusterBits.map(_.map(s(_)))
+
   /** Exact row count of a state's dataset, from the contingency table. */
   def rowCount(s: State): Long = {
+    val ok = allowed(s)
+    var total = 0L
+    for ((combo, c) <- combos) {
+      var i = 0
+      while (i < ok.length && ok(i)(combo(i))) i += 1
+      if (i == ok.length) total += c
+    }
+    total
+  }
+
+  /** D_U in the driver, collected on first use (not at build time, so the
+    * search that needs it pays for it) and sorted by key.
+    */
+  lazy val driverCopy: DriverCopy = {
+    val attrs = layout.attrs
     val segs = layout.segAttrs
-    segCounts.iterator.collect {
-      case (combo, c) if segs.indices.forall(i => layout.clustersOf(s, segs(i)).contains(combo(i))) => c
-    }.sum
+    val rows = df.select(((key +: target +: attrs) ++ segs.map(hiddenCol)).map(col): _*)
+      .collect().sortBy(_.getLong(0))
+    val keys = rows.map(_.getLong(0))
+    // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
+    require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate $key values")
+    val idOffset = 2 + attrs.size
+    DriverCopy(keys, rows.map(Frame.doubleAt(_, 1)),
+      Array.tabulate(attrs.size)(j => rows.map(Frame.doubleAt(_, j + 2))),
+      Array.tabulate(segs.size)(j => rows.map(_.getInt(idOffset + j))))
+  }
+
+  /** Indices into [[driverCopy]] of a state's rows, in key order: the
+    * driver-side twin of [[rowPredicate]].
+    */
+  def rowIndices(s: State): Array[Int] = {
+    val ok = allowed(s)
+    val ids = driverCopy.clusterIds
+    val n = driverCopy.keys.length
+    val out = new Array[Int](n)
+    var m = 0
+    var r = 0
+    while (r < n) {
+      var i = 0
+      while (i < ok.length && ok(i)(ids(i)(r))) i += 1
+      if (i == ok.length) { out(m) = r; m += 1 }
+      r += 1
+    }
+    java.util.Arrays.copyOf(out, m)
+  }
+
+  /** A state's dataset from [[driverCopy]], as `materialize(s)` holds it once
+    * collected and sorted by key. Runs no Spark job.
+    */
+  def driverRows(s: State): StateRows = {
+    val attrs = layout.attrsOf(s)
+    val cols = attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray
+    val rows = rowIndices(s)
+    StateRows(attrs, rows.map(driverCopy.keys), rows.map(driverCopy.target),
+      rows.map(r => cols.map(_(r))))
   }
 }
+
+/** D_U collected into the driver, one array per column, rows in key order:
+  * the key and target, each layout attribute (NaN for null) by
+  * `layout.attrs` index, and the `__cl_*` ids Spark computed for each
+  * segment attribute by `layout.segAttrs` index.
+  */
+final case class DriverCopy(keys: Array[Long], target: Array[Double],
+                            attrs: Array[Array[Double]], clusterIds: Array[Array[Int]])
+
+/** One state's dataset in the driver, rows in key order: row `i` has key
+  * `keys(i)`, target `target(i)` and values `x(i)` of `attrs` (NaN for null).
+  */
+final case class StateRows(attrs: Vector[String], keys: Array[Long], target: Array[Double],
+                           x: Array[Array[Double]])
 
 object Universal {
 

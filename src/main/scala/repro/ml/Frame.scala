@@ -1,6 +1,6 @@
 package repro.ml
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 
 /** A small in-driver feature matrix with a label column — the shape every
   * model in the paper's evaluation trains on (their pipeline collects the
@@ -70,17 +70,20 @@ object Frame {
     var i = 0
     while (i < rows.length) {
       val r = rows(i)
-      y(i) = toDouble(r.get(0))
+      y(i) = doubleAt(r, 0)
       val xi = new Array[Double](cols.length)
       var j = 0
-      while (j < cols.length) { xi(j) = toDouble(r.get(j + 1)); j += 1 }
+      while (j < cols.length) { xi(j) = doubleAt(r, j + 1); j += 1 }
       x(i) = xi
       i += 1
     }
     Frame(cols.toVector, x, y)
   }
 
-  private def toDouble(a: Any): Double = a match {
+  /** Cell `i` of a collected row as a Double, null as NaN: the one
+    * conversion every driver-side collect uses.
+    */
+  def doubleAt(r: Row, i: Int): Double = r.get(i) match {
     case null                 => Double.NaN
     case d: Double            => d
     case f: Float             => f.toDouble

@@ -1,0 +1,98 @@
+package repro.core
+
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
+import repro.{Oracle, SparkSpec}
+import repro.lake.{DataLake, TabularLake}
+
+/** A state evaluated from D_U's driver copy must give what the Spark
+  * reference path gives: `task.evaluate(uni.materialize(s))`.
+  */
+class DriverEvaluationSpec extends SparkSpec {
+
+  private final class Fixture(lake: TabularLake) {
+    val uni: UniversalTable = Universal.build(lake)
+    val task: TabularTask =
+      TabularTask.forLake(lake).calibrated(uni.materialize(State.full(uni.layout.width)))
+    val space = new TabularSpace(uni, task)
+    private val l = uni.layout
+
+    /** The smallest dataset the clusters allow: one cluster kept per
+      * segment attribute, the combination with the fewest rows.
+      */
+    val smallest: State = {
+      val combo = uni.segCounts.toSeq.minBy { case (c, n) => (n, c.mkString(",")) }._1
+      l.segAttrs.zipWithIndex.foldLeft(space.full) { case (s, (seg, i)) =>
+        (0 until uni.clusterings(seg).k).filter(_ != combo(i))
+          .foldLeft(s)((t, c) => t.clear(l.clusterIdx(seg, c)))
+      }
+    }
+
+    def states: Seq[(String, State)] =
+      Seq("full" -> space.full, "backStart" -> space.backStart) ++
+        l.segAttrs.map(seg => s"$seg cluster 0 masked" -> space.full.clear(l.clusterIdx(seg, 0))) ++
+        Seq(s"only ${l.attrs.head} kept" -> l.attrs.tail.foldLeft(space.full)((s, a) => s.clear(l.attrIdx(a))),
+          "smallest" -> smallest)
+  }
+
+  private lazy val house = new Fixture(DataLake.house(spark, sf = 0.01))
+  private lazy val avocado = new Fixture(DataLake.avocado(spark, sf = 0.01))
+  private lazy val mental = new Fixture(DataLake.mental(spark, sf = 0.01))
+
+  private def bits(m: Map[String, Double]): Map[String, Long] =
+    m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) }
+
+  /** Equal apart from the wall-clock `train` time and its normalized value. */
+  private def assertSame(f: Fixture, name: String, s: State): Unit = {
+    val driver = f.space.evaluate(s)
+    val ref = f.task.evaluate(f.uni.materialize(s))
+    assert(driver.isDefined == ref.isDefined, s"$name: usable on one side only")
+    for (a <- driver; b <- ref) {
+      assert(bits(a.raw - "train") == bits(b.raw - "train"), s"$name: raw metrics differ: ${a.raw} vs ${b.raw}")
+      val train = f.task.measureNames.indexOf("train")
+      val normA = a.norm.indices.filter(_ != train).map(a.norm)
+      val normB = b.norm.indices.filter(_ != train).map(b.norm)
+      assert(normA.map(java.lang.Double.doubleToLongBits) == normB.map(java.lang.Double.doubleToLongBits),
+        s"$name: norm differs")
+      assert((a.rows, a.cols) == (b.rows, b.cols), s"$name: size differs")
+    }
+  }
+
+  Seq("house" -> (() => house), "avocado" -> (() => avocado), "mental" -> (() => mental)).foreach {
+    case (name, fixture) =>
+      test(s"$name: driver-side evaluation equals the Spark path on sampled states") {
+        val f = fixture()
+        f.states.foreach { case (what, s) => assertSame(f, s"$name $what", s) }
+      }
+  }
+
+  test("house: the smallest state is too small to train on both paths") {
+    assert(house.uni.rowCount(house.smallest) < TabularTask.MinRows)
+    assert(house.space.evaluate(house.smallest).isEmpty)
+    assert(house.task.evaluate(house.uni.materialize(house.smallest)).isEmpty)
+  }
+
+  test("oracle: driver-side selection of a masked-cluster state equals DuckDB") {
+    val u = house.uni
+    val l = u.layout
+    // every other attribute dropped, cluster 0 of each segment attribute masked
+    val s = l.attrs.indices.filter(_ % 2 == 1).foldLeft(
+      l.segAttrs.foldLeft(house.space.full)((t, seg) => t.clear(l.clusterIdx(seg, 0))))(_.clear(_))
+    val d = u.driverRows(s)
+    val schema = StructType(StructField(u.key, LongType, nullable = false) +:
+      StructField(u.target, DoubleType, nullable = false) +:
+      d.attrs.map(StructField(_, DoubleType, nullable = true)))
+    val rows = d.keys.indices.map { i =>
+      Row.fromSeq(d.keys(i) +: d.target(i) +: d.x(i).toSeq.map(v => if (v.isNaN) null else v))
+    }
+    val driverDf = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    val select = (s"CAST(${u.key} AS BIGINT) AS ${u.key}" +:
+      (u.target +: d.attrs).map(c => s"CAST($c AS DOUBLE) AS $c")).mkString(", ")
+    val where = l.segAttrs.map { seg =>
+      s"CAST(${u.hiddenCol(seg)} AS INTEGER) IN (${l.clustersOf(s, seg).toSeq.sorted.mkString(", ")})"
+    }.mkString(" AND ")
+    assert(d.x.exists(_.exists(_.isNaN)), "the state should carry outer-join nulls")
+    Oracle.assertEquivalent(driverDf, s"SELECT $select FROM u WHERE $where",
+      "u" -> u.df.select(((u.key +: u.target +: d.attrs) ++ l.segAttrs.map(u.hiddenCol)).map(u.df.col): _*))
+  }
+}

@@ -58,13 +58,24 @@ class TabularSpaceSpec extends SparkSpec {
   }
 
   test("rowCountEstimate equals materialized count on sample states") {
-    val seg = space.layout.segAttrs.head
+    val l = space.layout
+    val seg = l.segAttrs.head
+    // random states masking a random subset of clusters on every segment attribute
+    val rng = new scala.util.Random(17)
+    val masked = Seq.fill(12) {
+      l.segAttrs.foldLeft(space.full) { (s, a) =>
+        val k = uni.clusterings(a).k
+        rng.shuffle((0 until k).toList).take(1 + rng.nextInt(k)).foldLeft(s)((t, c) => t.clear(l.clusterIdx(a, c)))
+      }
+    }
     val states = Seq(
       space.full,
-      space.full.clear(space.layout.clusterIdx(seg, 0)),
-      space.backStart)
+      space.full.clear(l.clusterIdx(seg, 0)),
+      space.backStart) ++ masked
     states.foreach { s =>
-      assert(space.rowCountEstimate(s) == uni.materialize(s).count(), s"state $s")
+      val expected = uni.materialize(s).count()
+      assert(space.rowCountEstimate(s) == expected, s"state $s")
+      assert(uni.rowIndices(s).length == expected, s"state $s")
     }
   }
 

@@ -107,6 +107,16 @@ class UniversalSpec extends SparkSpec {
       "u" -> uni.df.select("id", seg))
   }
 
+  test("driver copy holds D_U in key order with Spark's cluster ids") {
+    val d = uni.driverCopy
+    val segs = uni.layout.segAttrs
+    val rows = uni.df.select((uni.key +: segs.map(uni.hiddenCol)).map(uni.df.col): _*)
+      .collect().sortBy(_.getLong(0))
+    assert(d.keys.toSeq == rows.map(_.getLong(0)).toSeq)
+    segs.indices.foreach(i => assert(d.clusterIds(i).toSeq == rows.map(_.getInt(i + 1)).toSeq))
+    assert(d.attrs.length == uni.layout.attrs.size && d.attrs.forall(_.length == d.keys.length))
+  }
+
   test("layout cluster bits match the clustering sizes") {
     val expected = uni.layout.segAttrs.map(a => uni.clusterings(a).k).sum
     assert(uni.layout.clusters.size == expected)
