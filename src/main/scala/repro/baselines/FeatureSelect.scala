@@ -19,12 +19,10 @@ import repro.ml._
   */
 object FeatureSelect {
 
-  /** Collect features/labels of a table for driver-side fitting. */
-  private def frameOf(df: DataFrame, task: TabularTask): (Frame, Vector[String]) = {
-    val feats = df.columns.filterNot(c => c == task.lake.key || c == task.lake.target).toVector
-    val frame = Frame.fromDataFrame(df, task.lake.target, feats)
-    val imputedFrame = frame.imputed(frame.columnMeans)
-    (imputedFrame, feats)
+  /** A table's mean-imputed feature matrix, rows in key order. */
+  private def imputedFrame(df: DataFrame, task: TabularTask): Frame = {
+    val (_, f) = Frame.collect(df, task.lake.key, task.lake.target, df.columns)
+    f.imputed(f.columnMeans)
   }
 
   private def selectColumns(df: DataFrame, task: TabularTask, keep: Seq[String]): DataFrame = {
@@ -35,20 +33,20 @@ object FeatureSelect {
 
   /** SkSFM: GBM importances ≥ mean importance. */
   def skSFM(df: DataFrame, task: TabularTask): DataFrame = {
-    val (frame, feats) = frameOf(df, task)
+    val frame = imputedFrame(df, task)
     val importances =
       if (task.lake.classification)
         new GBMClassifier(nTrees = 30).fit(frame.x, frame.y).importances
       else
         new GBMRegressor(nTrees = 30).fit(frame.x, frame.y).importances
     val thr = importances.sum / importances.length
-    val keep = feats.indices.collect { case i if importances(i) >= thr => feats(i) }
+    val keep = frame.names.indices.collect { case i if importances(i) >= thr => frame.names(i) }
     selectColumns(df, task, keep)
   }
 
   /** H2O-style: standardized linear-model coefficients ≥ mean |coef|. */
   def h2o(df: DataFrame, task: TabularTask): DataFrame = {
-    val (frame, feats) = frameOf(df, task)
+    val frame = imputedFrame(df, task)
     val coefs =
       if (task.lake.classification)
         new LogisticRegressionModel().fit(frame.x, frame.y).coefficients
@@ -56,7 +54,7 @@ object FeatureSelect {
         new RidgeRegression().fit(frame.x, frame.y).coefficients
     val mags = coefs.map(math.abs)
     val thr = mags.sum / mags.length
-    val keep = feats.indices.collect { case i if mags(i) >= thr => feats(i) }
+    val keep = frame.names.indices.collect { case i if mags(i) >= thr => frame.names(i) }
     selectColumns(df, task, keep)
   }
 }

@@ -37,9 +37,12 @@ final class ModisEngine(
     seqCounter += 1
   }
 
+  private val visitedF = mutable.Set.empty[State]
+  private val visitedB = mutable.Set.empty[State]
+  // "a path is formed": some state was reached from both frontiers
+  private var met = false
+
   def run(): ModisResult = {
-    val visitedF = mutable.Set.empty[State]
-    val visitedB = mutable.Set.empty[State]
     val qf = mutable.PriorityQueue.empty[Entry]
     val qb = mutable.PriorityQueue.empty[Entry]
 
@@ -50,6 +53,7 @@ final class ModisEngine(
     if (bidirectional) {
       val sb = space.backStart
       visitedB += sb
+      met = visitedF.contains(sb)
       valuator.valuate(sb).foreach { p => grid.offer(sb, p); push(qb, sb, 0, p) }
     }
 
@@ -57,29 +61,29 @@ final class ModisEngine(
     var pathFormed = false
     while ((qf.nonEmpty || qb.nonEmpty) && valuator.count < cfg.n && !pathFormed) {
       if (qf.nonEmpty) {
-        val lvl = step(qf, visitedF, forward = true)
+        val lvl = step(qf, forward = true)
         if (diversifying && lvl > level) { level = lvl; trimDiverse() }
       }
       if (bidirectional && qb.nonEmpty && valuator.count < cfg.n)
-        step(qb, visitedB, forward = false)
-      // "a path is formed": a state reached from both frontiers
-      pathFormed = bidirectional && visitedF.exists(visitedB.contains)
+        step(qb, forward = false)
+      pathFormed = met // checked once per round, after both frontiers stepped
     }
     if (diversifying) trimDiverse()
     ModisResult(grid.entries, valuator.count, explored, prunedCount)
   }
 
   /** Expand one frontier state; returns the level of the dequeued state. */
-  private def step(q: mutable.PriorityQueue[Entry], visited: mutable.Set[State],
-                   forward: Boolean): Int = {
+  private def step(q: mutable.PriorityQueue[Entry], forward: Boolean): Int = {
     val Entry(s, lvl, _, _) = q.dequeue()
     if (lvl >= cfg.maxl) return lvl
+    val (visited, other) = if (forward) (visitedF, visitedB) else (visitedB, visitedF)
     val children = if (forward) space.neighborsReduct(s) else space.neighborsAugment(s)
     val it = children.iterator
     while (it.hasNext && valuator.count < cfg.n) {
       val c = it.next()
       if (!visited.contains(c)) {
         visited += c
+        if (other.contains(c)) met = true
         explored += 1
         if (pruning && canPrune(c)) prunedCount += 1
         else valuator.valuate(c) match {

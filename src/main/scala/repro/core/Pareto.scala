@@ -34,31 +34,13 @@ object Pareto {
     decisive
   }
 
-  /** O(n²) skyline (indices of non-dominated points) — reference oracle. */
+  /** O(n²) skyline (indices of non-dominated points): the definition, kept
+    * as a reference for tests.
+    */
   def skyline(points: IndexedSeq[Array[Double]]): Set[Int] =
     points.indices.filter { i =>
       !points.indices.exists(j => j != i && dominates(points(j), points(i)))
     }.toSet
-
-  /** Kung's divide-and-conquer maxima algorithm (Theorem 1's exact
-    * optimizer), adapted to minimization. Returns indices of the skyline.
-    */
-  def kungSkyline(points: IndexedSeq[Array[Double]]): Set[Int] = {
-    if (points.isEmpty) return Set.empty
-    implicit val seqOrd: Ordering[Seq[Double]] = Ordering.Implicits.seqOrdering
-    val order = points.indices.sortBy(i => (points(i).toSeq: Seq[Double], i))
-    def solve(idx: IndexedSeq[Int]): IndexedSeq[Int] = {
-      if (idx.length <= 1) return idx
-      val (front, back) = idx.splitAt(idx.length / 2)
-      val s1 = solve(front)
-      val s2 = solve(back)
-      // points in s2 survive unless dominated by a survivor of s1
-      s1 ++ s2.filterNot(j => s1.exists(i => dominates(points(i), points(j))))
-    }
-    // Lexicographic order guarantees every dominator sorts strictly earlier
-    // than the point it dominates, so the front half shields the back half.
-    solve(order).toSet
-  }
 
   /** Equation (1): the discretized (|P|−1)-ary grid position of a vector,
     * skipping the decisive measure.

@@ -93,9 +93,11 @@ object Runner {
       val secs = (System.nanoTime() - t0) / 1e9
       val best = result.bestBy(primaryIdx).getOrElse(
         throw new IllegalStateException(s"$name produced an empty skyline"))
-      val exact = valuator.exact(best._1).getOrElse(
-        // estimated winner unusable in reality: fall back to any valuated entry
-        result.skyline.iterator.flatMap(e => valuator.exact(e._1)).next())
+      // estimated winner unusable in reality: fall back to any usable entry
+      val exact = valuator.exact(best._1)
+        .orElse(result.skyline.iterator.flatMap(e => valuator.exact(e._1)).nextOption())
+        .getOrElse(throw new IllegalStateException(
+          s"$name: no skyline entry evaluates as usable"))
       MethodReport(name, exact.raw, exact.rows, exact.cols, secs)
     }
   }

@@ -88,16 +88,18 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
     frontier
   }
 
-  // Memoized across valuators: several MODis variants revisit the same
-  // states in a comparison run; model fits are deterministic so caching is
-  // sound.
+  // The one cache of exact results. A space serves one search (Runner builds
+  // a fresh one per method), so it is not shared across methods: it keeps
+  // BackSt's probes, the search's exact valuations and the post-search
+  // `exact` call from fitting a state twice. Fits are deterministic, so
+  // caching is sound.
   private val memo = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
 
   // No Spark job per state: rows and columns come from D_U's driver copy.
   override def evaluate(s: State): Option[EvalResult] =
     memo.getOrElseUpdate(s, {
-      val d = universal.driverRows(s)
-      task.evaluate(d.attrs, d.keys, d.target, d.x)
+      val (ids, data) = universal.driverRows(s)
+      task.evaluate(ids, data)
     })
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.lake.TabularLake
 import repro.ml._
 import repro.util.Stats
@@ -12,7 +11,6 @@ object ModelKind {
   case object RF extends ModelKind       // T2 "RFhouse"
   case object GBM extends ModelKind      // T1 "GBmovie", T4 "LGCmental" stand-in
   case object Ridge extends ModelKind    // T3 "LRavocado" (regression)
-  case object LogReg extends ModelKind   // classification linear baseline
 }
 
 /** Evaluates a materialized dataset for one tabular task: trains the task's
@@ -55,24 +53,17 @@ final class TabularTask(
     * [[TabularSpace.evaluate]] from the driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
-    val featCols = df.columns.filterNot(c => c == lake.key || c == lake.target).toVector
-    if (featCols.isEmpty) return None
-    // Sort by key so training-row order (and thus every model fit) is
-    // independent of Spark partitioning — evaluation must be a pure
-    // function of the dataset.
-    val rows = df.select((lake.key +: lake.target +: featCols).map(col): _*)
-      .collect().sortBy(_.getLong(0))
-    evaluate(featCols, rows.map(_.getLong(0)), rows.map(Frame.doubleAt(_, 1)),
-      rows.map(r => Array.tabulate(featCols.length)(j => Frame.doubleAt(r, j + 2))))
+    val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns)
+    evaluate(ids, data)
   }
 
   /** Evaluate a dataset held in the driver: row `i` has key `ids(i)`, label
-    * `y(i)` and features `x(i)` in `featCols` order (NaN = missing), rows in
-    * key order. None when it is too small to train or (classification)
-    * misses a class in the train split.
+    * `data.y(i)` and features `data.x(i)` (NaN = missing), rows in key
+    * order. None when it is too small to train or (classification) misses a
+    * class in the train split.
     */
-  def evaluate(featCols: Vector[String], ids: Array[Long], y: Array[Double],
-               x: Array[Array[Double]]): Option[EvalResult] = {
+  def evaluate(ids: Array[Long], data: Frame): Option[EvalResult] = {
+    val Frame(featCols, x, y) = data
     val n = ids.length
     if (featCols.isEmpty || n < MinRows) return None
     val testMask = ids.map(_ % 5 == 0)
@@ -104,8 +95,6 @@ final class TabularTask(
         } else { val m = new GBMRegressor(nTrees = 30, maxDepth = 4).fit(xtr, ytr); m.predict _ }
       case ModelKind.Ridge =>
         val m = new RidgeRegression().fit(xtr, ytr); m.predict _
-      case ModelKind.LogReg =>
-        val m = new LogisticRegressionModel().fit(xtr, ytr); m.predictProba _
     }
     val trainSec = (System.nanoTime() - t0) / 1e9
 
@@ -125,7 +114,7 @@ final class TabularTask(
       raw += "r2" -> Metrics.r2(yte, scores)
       raw += "acc" -> Metrics.regressionAccuracy(yte, scores)
     }
-    val allX = Frame(featCols, x, y).imputed(fill).x
+    val allX = data.imputed(fill).x
     val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
     raw += "fsc" -> Metrics.fisherScore(allX, yBin)
     raw += "mi" -> Metrics.mutualInformation(allX, yBin)

@@ -74,17 +74,12 @@ final case class UniversalTable(
     * search that needs it pays for it) and sorted by key.
     */
   lazy val driverCopy: DriverCopy = {
-    val attrs = layout.attrs
-    val segs = layout.segAttrs
-    val rows = df.select(((key +: target +: attrs) ++ segs.map(hiddenCol)).map(col): _*)
-      .collect().sortBy(_.getLong(0))
-    val keys = rows.map(_.getLong(0))
+    val nAttrs = layout.attrs.size
+    val (keys, f) = Frame.collect(df, key, target, layout.attrs ++ layout.segAttrs.map(hiddenCol))
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate $key values")
-    val idOffset = 2 + attrs.size
-    DriverCopy(keys, rows.map(Frame.doubleAt(_, 1)),
-      Array.tabulate(attrs.size)(j => rows.map(Frame.doubleAt(_, j + 2))),
-      Array.tabulate(segs.size)(j => rows.map(_.getInt(idOffset + j))))
+    val cols = Array.tabulate(f.nCols)(j => f.x.map(_(j)))
+    DriverCopy(keys, f.y, cols.take(nAttrs), cols.drop(nAttrs).map(_.map(_.toInt)))
   }
 
   /** Indices into [[driverCopy]] of a state's rows, in key order: the
@@ -106,15 +101,15 @@ final case class UniversalTable(
     java.util.Arrays.copyOf(out, m)
   }
 
-  /** A state's dataset from [[driverCopy]], as `materialize(s)` holds it once
-    * collected and sorted by key. Runs no Spark job.
+  /** A state's dataset from [[driverCopy]], as `Frame.collect` gives it for
+    * `materialize(s)`: the keys, and the target and kept attributes in key
+    * order. Runs no Spark job.
     */
-  def driverRows(s: State): StateRows = {
+  def driverRows(s: State): (Array[Long], Frame) = {
     val attrs = layout.attrsOf(s)
     val cols = attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray
     val rows = rowIndices(s)
-    StateRows(attrs, rows.map(driverCopy.keys), rows.map(driverCopy.target),
-      rows.map(r => cols.map(_(r))))
+    (rows.map(driverCopy.keys), Frame(attrs, rows.map(r => cols.map(_(r))), rows.map(driverCopy.target)))
   }
 }
 
@@ -125,12 +120,6 @@ final case class UniversalTable(
   */
 final case class DriverCopy(keys: Array[Long], target: Array[Double],
                             attrs: Array[Array[Double]], clusterIds: Array[Array[Int]])
-
-/** One state's dataset in the driver, rows in key order: row `i` has key
-  * `keys(i)`, target `target(i)` and values `x(i)` of `attrs` (NaN for null).
-  */
-final case class StateRows(attrs: Vector[String], keys: Array[Long], target: Array[Double],
-                           x: Array[Array[Double]])
 
 object Universal {
 

@@ -5,7 +5,8 @@ import repro.util.Stats
 
 /** Valuation service wrapping the estimator E (Section 2): every algorithm
   * asks it for a state's normalized performance vector; the service counts
-  * unique valuated states (the N budget) and records the test set T.
+  * unique valuated states (the N budget) and records the test set T. It
+  * caches no exact result: those are cached once, in the [[StateSpace]].
   */
 trait Valuator {
   /** Estimated/actual normalized vector; None = dataset unusable. */
@@ -21,74 +22,50 @@ trait Valuator {
   def records: Vector[(State, Array[Double])]
 }
 
-/** Valuator that always trains the task model (used by unit tests and as the
-  * exact oracle behind the surrogate).
-  */
-final class ExactValuator(space: StateSpace) extends Valuator {
-  private val memo = scala.collection.mutable.LinkedHashMap.empty[State, Option[EvalResult]]
-
-  override def valuate(s: State): Option[Array[Double]] = exactMemo(s).map(_.norm)
-  override def exact(s: State): Option[EvalResult] = exactMemo(s)
-
-  private def exactMemo(s: State): Option[EvalResult] =
-    memo.getOrElseUpdate(s, space.evaluate(s))
-
-  override def count: Int = memo.size
-  override def records: Vector[(State, Array[Double])] =
-    memo.collect { case (s, Some(r)) => (s, r.norm) }.toVector
-}
-
 /** The paper's default: exact valuation for the first `bootstrap` unique
   * states, then a multi-output GBM surrogate fitted on those records answers
   * most states from state features alone (bitmap + size fractions). Every
-  * `exactEvery`-th valuation stays exact and refreshes the surrogate, so the
-  * record set T keeps growing into the regions the search actually visits
-  * (the paper's estimator is likewise trained on the accumulated records).
-  * Exact results remain memoized for final reporting.
+  * [[SurrogateValuator.ExactEvery]]-th valuation stays exact and refreshes
+  * the surrogate, so the record set T keeps growing into the regions the
+  * search actually visits (the paper's estimator is likewise trained on the
+  * accumulated records). With `bootstrap` ≥ N every valuation is exact.
   */
-final class SurrogateValuator(space: StateSpace, bootstrap: Int = 25,
-                              exactEvery: Int = 5) extends Valuator {
-  private val exactMemo = scala.collection.mutable.LinkedHashMap.empty[State, Option[EvalResult]]
-  private val estMemo = scala.collection.mutable.LinkedHashMap.empty[State, Option[Array[Double]]]
+final class SurrogateValuator(space: StateSpace, bootstrap: Int = 25) extends Valuator {
+  private val memo = scala.collection.mutable.LinkedHashMap.empty[State, Option[Array[Double]]]
+  // exact valuations so far, and the usable ones in order: the MO-GBM's training set
+  private var exactCount = 0
+  private val exactRecords = scala.collection.mutable.ArrayBuffer.empty[(State, Array[Double])]
   private var surrogate: Option[MOGBM] = None
 
-  override def valuate(s: State): Option[Array[Double]] = {
-    estMemo.get(s) match {
-      case Some(v) => return v
-      case None    =>
-    }
-    val goExact = exactCount < bootstrap ||
-      (exactEvery > 0 && estMemo.size % exactEvery == 0)
-    val v: Option[Array[Double]] =
-      if (goExact) {
+  override def valuate(s: State): Option[Array[Double]] =
+    memo.getOrElseUpdate(s,
+      if (exactCount < bootstrap || memo.size % SurrogateValuator.ExactEvery == 0) {
         surrogate = None // refit lazily with the enlarged record set
-        exactEval(s).map(_.norm)
+        exactCount += 1
+        val v = space.evaluate(s).map(_.norm)
+        v.foreach(p => exactRecords += ((s, p)))
+        v
       } else {
         if (surrogate.isEmpty) fitSurrogate()
         if (!space.admissible(s) || space.rowCountEstimate(s) < TabularTask.MinRows) None
         else Some(surrogate.get.predict(space.features(s)).map(Stats.clip(_, 1e-3, 1.5)))
-      }
-    estMemo(s) = v
-    v
-  }
+      })
 
-  override def exact(s: State): Option[EvalResult] =
-    exactMemo.getOrElseUpdate(s, space.evaluate(s))
-
-  private def exactEval(s: State): Option[EvalResult] =
-    exactMemo.getOrElseUpdate(s, space.evaluate(s))
-
-  private def exactCount: Int = exactMemo.size
+  override def exact(s: State): Option[EvalResult] = space.evaluate(s)
 
   private def fitSurrogate(): Unit = {
-    val recs = exactMemo.collect { case (s, Some(r)) => (space.features(s), r.norm) }.toArray
-    require(recs.nonEmpty, "surrogate bootstrap produced no usable records")
+    require(exactRecords.nonEmpty, "surrogate bootstrap produced no usable records")
     val m = new MOGBM(nOutputs = space.measures.length, nTrees = 40, maxDepth = 3, minLeaf = 2)
-    m.fit(recs.map(_._1), recs.map(_._2))
+    m.fit(exactRecords.map(r => space.features(r._1)).toArray, exactRecords.map(_._2).toArray)
     surrogate = Some(m)
   }
 
-  override def count: Int = estMemo.size
+  override def count: Int = memo.size
   override def records: Vector[(State, Array[Double])] =
-    estMemo.collect { case (s, Some(v)) => (s, v) }.toVector
+    memo.collect { case (s, Some(v)) => (s, v) }.toVector
+}
+
+object SurrogateValuator {
+  /** Every this-many-th valuation after the bootstrap is exact. */
+  val ExactEvery = 5
 }

@@ -1,7 +1,5 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
 import scala.util.Random
 
 /** T5's data: a bipartite user–item interaction graph assembled from a
@@ -29,22 +27,11 @@ final case class GraphLake(
     userFeatures: Map[String, Array[Array[Double]]],
     itemFeatures: Map[String, Array[Array[Double]]],
 ) {
-  def edgesDf(spark: SparkSession): DataFrame = {
-    val schema = StructType(Array(
-      StructField("user", IntegerType, nullable = false),
-      StructField("item", IntegerType, nullable = false),
-      StructField("cluster", IntegerType, nullable = false)))
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(edges.map(e => Row(e._1, e._2, e._3)), 2), schema)
-  }
-
   def featuresOf(groups: Seq[String]): (Array[Array[Double]], Array[Array[Double]]) = {
     def cat(maps: Map[String, Array[Array[Double]]], n: Int): Array[Array[Double]] =
       Array.tabulate(n)(i => groups.flatMap(g => maps(g)(i)).toArray)
     (cat(userFeatures, nUsers), cat(itemFeatures, nItems))
   }
-
-  def totalFeatureCols: Int = featureGroups.map(g => userFeatures(g)(0).length).sum
 }
 
 object GraphLake {

@@ -1,11 +1,12 @@
 package repro.ml
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 
 /** A small in-driver feature matrix with a label column — the shape every
   * model in the paper's evaluation trains on (their pipeline collects the
-  * discovered table into pandas/sklearn; ours collects the materialized
-  * Spark DataFrame).
+  * discovered table into pandas/sklearn; ours collects it with
+  * [[Frame.collect]] or cuts it from the driver copy of D_U).
   *
   * Missing values (nulls from outer joins) arrive as NaN and are
   * mean-imputed by [[Frame.imputed]] before training.
@@ -42,48 +43,25 @@ final case class Frame(names: Vector[String], x: Array[Array[Double]], y: Array[
     }
     copy(x = nx)
   }
-
-  /** Project to a subset of columns (by name). */
-  def select(keep: Seq[String]): Frame = {
-    val idx = keep.map(names.indexOf).toArray
-    require(idx.forall(_ >= 0), s"Frame.select: unknown column in $keep")
-    Frame(keep.toVector, x.map(r => idx.map(r)), y)
-  }
-
-  /** Row subset by predicate on index. */
-  def filterRows(p: Int => Boolean): Frame = {
-    val keep = (0 until nRows).filter(p).toArray
-    Frame(names, keep.map(x), keep.map(y))
-  }
 }
 
 object Frame {
 
-  /** Collect a Spark DataFrame into a Frame. `label` must exist; every other
-    * listed feature column is converted to Double (null → NaN).
+  /** Collect a table into the driver, rows sorted by `key`: the keys, and a
+    * Frame of `label` and the listed features (null → NaN; `key` and
+    * `label` are never features). This is the one path from a table to a
+    * feature matrix. Key order makes every fit on the result independent of
+    * Spark's partitioning.
     */
-  def fromDataFrame(df: DataFrame, label: String, features: Seq[String]): Frame = {
-    val cols = features.filterNot(_ == label)
-    val rows = df.select((label +: cols).map(org.apache.spark.sql.functions.col): _*).collect()
-    val y = new Array[Double](rows.length)
-    val x = new Array[Array[Double]](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      val r = rows(i)
-      y(i) = doubleAt(r, 0)
-      val xi = new Array[Double](cols.length)
-      var j = 0
-      while (j < cols.length) { xi(j) = doubleAt(r, j + 1); j += 1 }
-      x(i) = xi
-      i += 1
-    }
-    Frame(cols.toVector, x, y)
+  def collect(df: DataFrame, key: String, label: String, features: Seq[String]): (Array[Long], Frame) = {
+    val cols = features.filterNot(c => c == key || c == label).toVector
+    val rows = df.select((key +: label +: cols).map(col): _*).collect().sortBy(_.getLong(0))
+    (rows.map(_.getLong(0)),
+      Frame(cols, rows.map(r => Array.tabulate(cols.length)(j => doubleAt(r, j + 2))), rows.map(doubleAt(_, 1))))
   }
 
-  /** Cell `i` of a collected row as a Double, null as NaN: the one
-    * conversion every driver-side collect uses.
-    */
-  def doubleAt(r: Row, i: Int): Double = r.get(i) match {
+  /** Cell `i` of a collected row as a Double, null as NaN. */
+  private def doubleAt(r: Row, i: Int): Double = r.get(i) match {
     case null                 => Double.NaN
     case d: Double            => d
     case f: Float             => f.toDouble

@@ -41,13 +41,6 @@ final class RandomForest(
 
   def importances: Array[Double] = {
     require(trees.nonEmpty, "forest not fitted")
-    val acc = new Array[Double](trees.head.importances.length)
-    trees.foreach { t =>
-      val im = t.importances
-      var j = 0
-      while (j < acc.length) { acc(j) += im(j); j += 1 }
-    }
-    val s = acc.sum
-    if (s <= 0) acc else acc.map(_ / s)
+    RegressionTree.summedImportances(trees, trees.head.importances.length)
   }
 }

@@ -111,6 +111,21 @@ final class RegressionTree(
 
 object RegressionTree {
 
+  /** The trees' importances summed feature by feature, tree by tree, then
+    * normalized to sum to 1 (left as is when all zero): the importances of
+    * every tree ensemble here.
+    */
+  def summedImportances(trees: Seq[RegressionTree], nFeatures: Int): Array[Double] = {
+    val acc = new Array[Double](nFeatures)
+    trees.foreach { t =>
+      val im = t.importances
+      var j = 0
+      while (j < acc.length) { acc(j) += im(j); j += 1 }
+    }
+    val s = acc.sum
+    if (s <= 0) acc else acc.map(_ / s)
+  }
+
   /** Allocation-free-ish index sort: pack (sortable float bits, index) into
     * longs and primitive-sort. Float rounding only perturbs ordering among
     * near-equal keys, which cannot invalidate a split.

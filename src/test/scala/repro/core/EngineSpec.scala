@@ -10,7 +10,7 @@ class EngineSpec extends AnyFunSuite {
   private def freshRun(algo: (StateSpace, Valuator, ModisConfig) => ModisResult,
                        cfg: ModisConfig = ModisConfig(n = 200, eps = 0.2, maxl = 6),
                        space: SyntheticSpace = new SyntheticSpace()) = {
-    val valuator = new ExactValuator(space)
+    val valuator = new SurrogateValuator(space, bootstrap = Int.MaxValue)
     (algo(space, valuator, cfg), valuator, space)
   }
 
@@ -185,7 +185,7 @@ class EngineSpec extends AnyFunSuite {
 
   test("exact valuator memoizes (count = unique states)") {
     val space = new SyntheticSpace()
-    val v = new ExactValuator(space)
+    val v = new SurrogateValuator(space, bootstrap = Int.MaxValue)
     v.valuate(space.full); v.valuate(space.full)
     assert(v.count == 1)
   }

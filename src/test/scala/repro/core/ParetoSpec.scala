@@ -1,10 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.scalacheck.{Gen, Prop}
 import scala.collection.immutable.BitSet
 
-class ParetoSpec extends AnyFunSuite with repro.util.Checkers {
+class ParetoSpec extends AnyFunSuite {
 
   test("dominates: strictly better everywhere") {
     assert(Pareto.dominates(Array(0.1, 0.1), Array(0.2, 0.2)))
@@ -65,27 +64,6 @@ class ParetoSpec extends AnyFunSuite with repro.util.Checkers {
     val pts = IndexedSeq(Array(0.1, 0.4), Array(0.2, 0.3), Array(0.3, 0.2), Array(0.4, 0.1))
     assert(Pareto.skyline(pts) == pts.indices.toSet)
   }
-  test("kung matches brute force on Example 4") {
-    val pts = IndexedSeq(
-      Array(0.48, 0.33, 0.37), Array(0.41, 0.24, 0.37), Array(0.26, 0.15, 0.37),
-      Array(0.37, 0.22, 0.39), Array(0.25, 0.18, 0.35))
-    assert(Pareto.kungSkyline(pts) == Pareto.skyline(pts))
-  }
-  test("property: kung skyline equals brute-force skyline (2d)") {
-    val pointGen = Gen.listOfN(2, Gen.choose(0.01, 1.0)).map(_.toArray)
-    check(Prop.forAll(Gen.listOf(pointGen)) { ps =>
-      val v = ps.toIndexedSeq
-      Pareto.kungSkyline(v) == Pareto.skyline(v)
-    })
-  }
-  test("property: kung skyline equals brute-force skyline (4d)") {
-    val pointGen = Gen.listOfN(4, Gen.choose(0.01, 1.0)).map(_.toArray)
-    check(Prop.forAll(Gen.listOf(pointGen)) { ps =>
-      val v = ps.toIndexedSeq
-      Pareto.kungSkyline(v) == Pareto.skyline(v)
-    }, minSuccessful = 30)
-  }
-
   private val twoMeasures = Vector(Measure("p1"), Measure("p2"))
 
   test("pos skips the decisive measure") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.Oracle
 import repro.lake.DataLake
@@ -115,6 +117,19 @@ class UniversalSpec extends SparkSpec {
     assert(d.keys.toSeq == rows.map(_.getLong(0)).toSeq)
     segs.indices.foreach(i => assert(d.clusterIds(i).toSeq == rows.map(_.getInt(i + 1)).toSeq))
     assert(d.attrs.length == uni.layout.attrs.size && d.attrs.forall(_.length == d.keys.length))
+  }
+
+  test("oracle: segCounts equals DuckDB GROUP BY over the cluster ids") {
+    val segs = uni.layout.segAttrs
+    val schema = StructType(segs.indices.map(i => StructField(s"c$i", IntegerType, nullable = false)) :+
+      StructField("n", LongType, nullable = false))
+    val rows = uni.segCounts.toSeq.map { case (combo, n) => Row.fromSeq(combo :+ n) }
+    val counts = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    val ids = segs.map(uni.hiddenCol)
+    val select = ids.zipWithIndex.map { case (c, i) => s"CAST($c AS INTEGER) AS c$i" }
+    Oracle.assertEquivalent(counts,
+      s"SELECT ${(select :+ "COUNT(*) AS n").mkString(", ")} FROM u GROUP BY ${select.indices.map(_ + 1).mkString(", ")}",
+      "u" -> uni.df.select(ids.map(uni.df.col): _*))
   }
 
   test("layout cluster bits match the clustering sizes") {

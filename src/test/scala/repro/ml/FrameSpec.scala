@@ -6,36 +6,39 @@ class FrameSpec extends SparkSpec {
   import org.apache.spark.sql.Row
   import org.apache.spark.sql.types._
 
+  // keys arrive out of order, as Spark partitions may deliver them
   private def df = {
     val schema = StructType(Array(
-      StructField("y", DoubleType), StructField("a", DoubleType),
+      StructField("id", LongType), StructField("y", DoubleType), StructField("a", DoubleType),
       StructField("b", DoubleType, nullable = true)))
     spark.createDataFrame(
       spark.sparkContext.parallelize(Seq(
-        Row(1.0, 2.0, 3.0), Row(0.0, 4.0, null), Row(1.0, 6.0, 9.0))),
+        Row(3L, 1.0, 6.0, 9.0), Row(1L, 1.0, 2.0, 3.0), Row(2L, 0.0, 4.0, null))),
       schema)
   }
 
-  test("fromDataFrame extracts labels and features") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a", "b"))
+  test("collect extracts keys, labels and features in key order") {
+    val (keys, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
     assert(f.nRows == 3 && f.nCols == 2)
-    assert(f.y.sorted.toSeq == Seq(0.0, 1.0, 1.0))
+    assert(keys.toSeq == Seq(1L, 2L, 3L))
+    assert(f.y.toSeq == Seq(1.0, 0.0, 1.0))
+    assert(f.x.map(_(0)).toSeq == Seq(2.0, 4.0, 6.0))
   }
 
   test("nulls become NaN") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a", "b"))
-    assert(f.x.exists(_.exists(_.isNaN)))
+    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
+    assert(f.x(1)(1).isNaN)
   }
 
   test("columnMeans ignores NaN") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a", "b"))
+    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
     val means = f.columnMeans
     assert(math.abs(means(0) - 4.0) < 1e-9)
     assert(math.abs(means(1) - 6.0) < 1e-9)
   }
 
   test("imputed replaces NaN with fill values") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a", "b"))
+    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
     val g = f.imputed(f.columnMeans)
     assert(!g.x.exists(_.exists(_.isNaN)))
   }
@@ -45,25 +48,8 @@ class FrameSpec extends SparkSpec {
     assert(f.columnMeans.toSeq == Seq(0.0))
   }
 
-  test("select projects columns by name") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a", "b"))
-    val g = f.select(Seq("b"))
-    assert(g.names == Vector("b") && g.nCols == 1 && g.nRows == 3)
-  }
-
-  test("select of unknown column fails") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a"))
-    intercept[IllegalArgumentException](f.select(Seq("zzz")))
-  }
-
-  test("filterRows keeps matching rows") {
-    val f = Frame.fromDataFrame(df, "y", Seq("a"))
-    val g = f.filterRows(i => f.y(i) == 1.0)
-    assert(g.nRows == 2)
-  }
-
   test("label column is excluded from features even if listed") {
-    val f = Frame.fromDataFrame(df, "y", Seq("y", "a"))
+    val (_, f) = Frame.collect(df, "id", "y", Seq("id", "y", "a"))
     assert(f.names == Vector("a"))
   }
 
