@@ -21,7 +21,7 @@ object FeatureSelect {
 
   /** A table's mean-imputed feature matrix, rows in key order. */
   private def imputedFrame(df: DataFrame, task: TabularTask): Frame = {
-    val (_, f) = Frame.collect(df, task.lake.key, task.lake.target, df.columns)
+    val (_, f) = Frame.collect(df, task.lake.key, task.lake.target, df.columns.toSeq)
     f.imputed(f.columnMeans)
   }
 

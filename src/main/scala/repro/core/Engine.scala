@@ -23,12 +23,7 @@ final class ModisEngine(
   private var explored = 0
   private var seqCounter = 0L
 
-  /** Frontier entry: the "path length" framing of Section 5.1 — states with
-    * the smallest aggregate estimated performance are expanded first
-    * ("extend shortest paths by prioritizing the valuation of datasets
-    * towards user-defined upper bounds"). Ties break FIFO for determinism.
-    */
-  private final case class Entry(s: State, lvl: Int, priority: Double, seq: Long)
+  import ModisEngine.Entry
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by[Entry, (Double, Long)](e => (e.priority, e.seq)).reverse
 
@@ -107,14 +102,14 @@ final class ModisEngine(
     if (recs.length < 8 || grid.size == 0) return false
     val sizes = recs.map(r => space.rowCountEstimate(r._1).toDouble).toArray
     val mySize = space.rowCountEstimate(s).toDouble
+    // optimistic bounds come from the 3 records nearest in size (Example 6)
+    val near = recs.indices.sortBy(j => math.abs(sizes(j) - mySize)).take(3)
     val d = space.measures.length
     val lows = new Array[Double](d)
     var i = 0
     while (i < d) {
       val ps = recs.map(_._2(i)).toArray
       if (math.abs(Stats.spearman(sizes, ps)) < cfg.theta) return false
-      // optimistic bound from the 3 records nearest in size (Example 6)
-      val near = recs.indices.sortBy(j => math.abs(sizes(j) - mySize)).take(3)
       lows(i) = near.map(ps).min
       i += 1
     }
@@ -135,6 +130,13 @@ final class ModisEngine(
 }
 
 object ModisEngine {
+
+  /** Frontier entry: the "path length" framing of Section 5.1 — states with
+    * the smallest aggregate estimated performance are expanded first
+    * ("extend shortest paths by prioritizing the valuation of datasets
+    * towards user-defined upper bounds"). Ties break FIFO for determinism.
+    */
+  private final case class Entry(s: State, lvl: Int, priority: Double, seq: Long)
 
   /** Pairwise distance of Eq. 2: α·(1−cos(L_i,L_j))/2 + (1−α)·euc/euc_m. */
   def dis(a: (State, Array[Double]), b: (State, Array[Double]),

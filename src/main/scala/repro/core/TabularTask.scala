@@ -53,7 +53,7 @@ final class TabularTask(
     * [[TabularSpace.evaluate]] from the driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
-    val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns)
+    val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)
     evaluate(ids, data)
   }
 
@@ -75,20 +75,17 @@ final class TabularTask(
       if (trLabels.size < 2) return None
     }
 
-    // mean-impute using train-split statistics
-    val trFrame = Frame(featCols, trIdx.map(x), trIdx.map(y))
-    val fill = trFrame.columnMeans
-    val xtr = trFrame.imputed(fill).x
+    // mean-impute every row once, with train-split statistics
+    val allX = data.imputed(Frame(featCols, trIdx.map(x), trIdx.map(y)).columnMeans).x
+    val xtr = trIdx.map(allX)
     val ytr = trIdx.map(y)
-    val xte = Frame(featCols, teIdx.map(x), teIdx.map(y)).imputed(fill).x
+    val xte = teIdx.map(allX)
     val yte = teIdx.map(y)
 
     val t0 = System.nanoTime()
     val scoreFn: Array[Double] => Double = modelKind match {
       case ModelKind.RF =>
-        val m = new RandomForest(nTrees = 30, maxDepth = 8, minLeaf = 3,
-          classification = lake.classification).fit(xtr, ytr)
-        m.predictScore _
+        val m = new RandomForest(nTrees = 30, maxDepth = 8, minLeaf = 3).fit(xtr, ytr); m.predictScore _
       case ModelKind.GBM =>
         if (lake.classification) {
           val m = new GBMClassifier(nTrees = 30, maxDepth = 4).fit(xtr, ytr); m.predictProba _
@@ -114,7 +111,6 @@ final class TabularTask(
       raw += "r2" -> Metrics.r2(yte, scores)
       raw += "acc" -> Metrics.regressionAccuracy(yte, scores)
     }
-    val allX = data.imputed(fill).x
     val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
     raw += "fsc" -> Metrics.fisherScore(allX, yBin)
     raw += "mi" -> Metrics.mutualInformation(allX, yBin)

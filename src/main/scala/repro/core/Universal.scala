@@ -134,8 +134,9 @@ object Universal {
 
     val segAttrs = lake.segmentAttrs.toVector
     val clusterings = segAttrs.map { a =>
-      val values = df.select(col(a)).na.drop().collect().map(_.getDouble(0))
-      a -> KMeans1D.fit(values, maxK)
+      val rows = df.select(col(a)).collect()
+      require(!rows.exists(_.isNullAt(0)), s"segment attribute $a has nulls in D_U; no cluster covers them")
+      a -> KMeans1D.fit(rows.map(_.getDouble(0)), maxK)
     }.toMap
 
     // hidden cluster-id columns via boundary CASE chains (pure Catalyst)

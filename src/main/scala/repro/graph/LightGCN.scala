@@ -42,7 +42,6 @@ final class LightGCN(
       addProjected(itemEmb, itemFeat, new Random(seed + 2))
 
     trainedEdges = edges.toSet
-    val byUser = edges.groupMap(_._1)(_._2).view.mapValues(_.toArray).toMap
     val edgeArr = edges.toArray
 
     var ep = 0

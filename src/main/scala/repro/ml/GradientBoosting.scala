@@ -2,103 +2,94 @@ package repro.ml
 
 import scala.util.Random
 
-/** Gradient-boosted regression trees — stands in for the paper's
-  * scikit-learn GradientBoosting ("GBmovie"), LightGBM ("LGCmental"), and
-  * the building block of the MO-GBM estimator.
+/** Gradient-boosted regression trees (Friedman, Ann. Statist. 2001): one
+  * boosting loop for any differentiable loss. The score starts at
+  * `start(y)`; each round fits a tree to the negative gradient
+  * y − link(score) and adds it, shrunk by the learning rate, to the score.
+  * Squared loss is [[GBMRegressor]], logistic loss [[GBMClassifier]].
   */
-final class GBMRegressor(
-    val nTrees: Int = 40,
-    val learningRate: Double = 0.1,
-    val maxDepth: Int = 3,
-    val minLeaf: Int = 5,
-    val subsample: Double = 1.0,
-    val seed: Long = 7,
-) {
-  private var base = 0.0
-  private var trees: Vector[RegressionTree] = Vector.empty
-  private var nFeatures = 0
-
-  def fit(x: Array[Array[Double]], y: Array[Double]): this.type = {
-    require(x.nonEmpty, "GBMRegressor: empty input")
-    nFeatures = x(0).length
-    val rng = new Random(seed)
-    base = y.sum / y.length
-    val pred = Array.fill(y.length)(base)
-    val ts = Vector.newBuilder[RegressionTree]
-    var t = 0
-    while (t < nTrees) {
-      val resid = Array.tabulate(y.length)(i => y(i) - pred(i))
-      val sample =
-        if (subsample >= 1.0) null
-        else Array.range(0, y.length).filter(_ => rng.nextDouble() < subsample) match {
-          case s if s.length >= 2 * minLeaf => s
-          case _                            => null
-        }
-      val tree = new RegressionTree(maxDepth, minLeaf).fit(x, resid, rng, sample)
-      ts += tree
-      var i = 0
-      while (i < y.length) { pred(i) += learningRate * tree.predict(x(i)); i += 1 }
-      t += 1
-    }
-    trees = ts.result()
-    this
-  }
-
-  def predict(xi: Array[Double]): Double =
-    base + learningRate * trees.foldLeft(0.0)((s, t) => s + t.predict(xi))
-
-  def predictAll(x: Array[Array[Double]]): Array[Double] = x.map(predict)
-
-  /** Normalized feature importances (sum to 1 unless all-zero). */
-  def importances: Array[Double] = RegressionTree.summedImportances(trees, nFeatures)
-}
-
-/** Binary GBM classifier with logistic loss and Newton leaf steps folded
-  * into a residual-fitting approximation (residual = y − p).
-  */
-final class GBMClassifier(
-    val nTrees: Int = 40,
-    val learningRate: Double = 0.15,
-    val maxDepth: Int = 3,
-    val minLeaf: Int = 5,
-    val seed: Long = 11,
+sealed abstract class GradientBoosting(
+    val nTrees: Int,
+    val learningRate: Double,
+    val maxDepth: Int,
+    val minLeaf: Int,
+    val seed: Long,
 ) {
   private var f0 = 0.0
   private var trees: Vector[RegressionTree] = Vector.empty
   private var nFeatures = 0
 
-  private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
+  /** The initial score for labels `y`. */
+  protected def start(y: Array[Double]): Double
+
+  /** The label the loss predicts from a score. */
+  protected def link(score: Double): Double
 
   def fit(x: Array[Array[Double]], y: Array[Double]): this.type = {
-    require(x.nonEmpty, "GBMClassifier: empty input")
-    require(y.forall(v => v == 0.0 || v == 1.0), "GBMClassifier: labels must be 0/1")
+    require(x.nonEmpty, s"${getClass.getSimpleName}: empty input")
     nFeatures = x(0).length
     val rng = new Random(seed)
-    val pos = y.count(_ == 1.0).toDouble.max(0.5)
-    val neg = (y.length - pos).max(0.5)
-    f0 = math.log(pos / neg)
-    val score = Array.fill(y.length)(f0)
-    val ts = Vector.newBuilder[RegressionTree]
+    f0 = start(y)
+    trees = Vector.empty
+    val scores = Array.fill(y.length)(f0)
     var t = 0
     while (t < nTrees) {
-      val resid = Array.tabulate(y.length)(i => y(i) - sigmoid(score(i)))
+      val resid = Array.tabulate(y.length)(i => y(i) - link(scores(i)))
       val tree = new RegressionTree(maxDepth, minLeaf).fit(x, resid, rng)
-      ts += tree
+      trees :+= tree
       var i = 0
-      while (i < y.length) { score(i) += learningRate * tree.predict(x(i)); i += 1 }
+      while (i < y.length) { scores(i) += learningRate * tree.predict(x(i)); i += 1 }
       t += 1
     }
-    trees = ts.result()
     this
   }
 
+  /** The fitted score of one row, before the link. */
+  protected def score(xi: Array[Double]): Double =
+    f0 + learningRate * trees.foldLeft(0.0)((s, t) => s + t.predict(xi))
+
+  /** Normalized feature importances (sum to 1 unless all-zero). */
+  def importances: Array[Double] = RegressionTree.summedImportances(trees, nFeatures)
+}
+
+/** Squared-loss GBM: starts at the label mean, identity link. Stands in for
+  * the paper's scikit-learn GradientBoosting ("GBmovie") and is the
+  * building block of the MO-GBM estimator.
+  */
+final class GBMRegressor(
+    nTrees: Int = 40,
+    learningRate: Double = 0.1,
+    maxDepth: Int = 3,
+    minLeaf: Int = 5,
+    seed: Long = 7,
+) extends GradientBoosting(nTrees, learningRate, maxDepth, minLeaf, seed) {
+  protected def start(y: Array[Double]): Double = y.sum / y.length
+  protected def link(score: Double): Double = score
+
+  def predict(xi: Array[Double]): Double = score(xi)
+}
+
+/** Binary logistic-loss GBM on 0/1 labels: starts at the log-odds, sigmoid
+  * link. The LightGBM stand-in of "LGCmental".
+  */
+final class GBMClassifier(
+    nTrees: Int = 40,
+    learningRate: Double = 0.15,
+    maxDepth: Int = 3,
+    minLeaf: Int = 5,
+    seed: Long = 11,
+) extends GradientBoosting(nTrees, learningRate, maxDepth, minLeaf, seed) {
+  protected def start(y: Array[Double]): Double = {
+    require(y.forall(v => v == 0.0 || v == 1.0), "GBMClassifier: labels must be 0/1")
+    val pos = y.count(_ == 1.0).toDouble.max(0.5)
+    val neg = (y.length - pos).max(0.5)
+    math.log(pos / neg)
+  }
+
+  protected def link(score: Double): Double = 1.0 / (1.0 + math.exp(-score))
+
   /** P(y = 1 | x). */
-  def predictProba(xi: Array[Double]): Double =
-    sigmoid(f0 + learningRate * trees.foldLeft(0.0)((s, t) => s + t.predict(xi)))
+  def predictProba(xi: Array[Double]): Double = link(score(xi))
 
   def predict(xi: Array[Double]): Double = if (predictProba(xi) >= 0.5) 1.0 else 0.0
-
-  def predictProbaAll(x: Array[Array[Double]]): Array[Double] = x.map(predictProba)
-
-  def importances: Array[Double] = RegressionTree.summedImportances(trees, nFeatures)
 }

@@ -9,15 +9,13 @@ package repro.ml
 final class RidgeRegression(val lambda: Double = 1e-3) {
   private var w: Array[Double] = Array.empty // on standardized features
   private var b = 0.0
-  private var mu: Array[Double] = Array.empty
-  private var sd: Array[Double] = Array.empty
+  private var std: Standardizer = _
 
   def fit(x: Array[Array[Double]], y: Array[Double]): this.type = {
     require(x.nonEmpty, "ridge: empty input")
     val n = x.length; val d = x(0).length
-    mu = new Array[Double](d); sd = new Array[Double](d)
-    standardizeStats(x, mu, sd)
-    val xs = x.map(standardize)
+    std = new Standardizer(x)
+    val xs = x.map(std.apply)
     // Normal equations on standardized X with intercept handled via centering.
     val ym = y.sum / n
     val a = Array.ofDim[Double](d, d)
@@ -48,36 +46,15 @@ final class RidgeRegression(val lambda: Double = 1e-3) {
   }
 
   def predict(xi: Array[Double]): Double = {
-    val xs = standardize(xi)
+    val xs = std(xi)
     var s = b
     var j = 0
     while (j < w.length) { s += w(j) * xs(j); j += 1 }
     s
   }
 
-  def predictAll(x: Array[Array[Double]]): Array[Double] = x.map(predict)
-
   /** Coefficients on standardized features (|coef| comparable across cols). */
   def coefficients: Array[Double] = w.clone()
-
-  private def standardize(xi: Array[Double]): Array[Double] =
-    Array.tabulate(xi.length)(j => (xi(j) - mu(j)) / sd(j))
-
-  private def standardizeStats(x: Array[Array[Double]], mu: Array[Double], sd: Array[Double]): Unit = {
-    val n = x.length; val d = mu.length
-    var i = 0
-    while (i < n) { var j = 0; while (j < d) { mu(j) += x(i)(j); j += 1 }; i += 1 }
-    var j = 0
-    while (j < d) { mu(j) /= n; j += 1 }
-    i = 0
-    while (i < n) {
-      j = 0
-      while (j < d) { val dv = x(i)(j) - mu(j); sd(j) += dv * dv; j += 1 }
-      i += 1
-    }
-    j = 0
-    while (j < d) { sd(j) = math.sqrt(sd(j) / n); if (sd(j) < 1e-9) sd(j) = 1.0; j += 1 }
-  }
 
   /** Gaussian elimination with partial pivoting. */
   private def solve(a: Array[Array[Double]], bVec: Array[Double]): Array[Double] = {
@@ -110,15 +87,13 @@ final class RidgeRegression(val lambda: Double = 1e-3) {
 /** L2-regularized logistic regression trained by full-batch gradient descent
   * on standardized features. Deterministic.
   */
-final class LogisticRegressionModel(
-    val lambda: Double = 1e-3,
-    val lr: Double = 0.5,
-    val iters: Int = 200,
-) {
+final class LogisticRegressionModel {
+  private val Lambda = 1e-3
+  private val Lr = 0.5
+  private val Iters = 200
   private var w: Array[Double] = Array.empty
   private var b = 0.0
-  private var mu: Array[Double] = Array.empty
-  private var sd: Array[Double] = Array.empty
+  private var std: Standardizer = _
 
   private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
@@ -126,27 +101,18 @@ final class LogisticRegressionModel(
     require(x.nonEmpty, "logreg: empty input")
     require(y.forall(v => v == 0.0 || v == 1.0), "logreg: labels must be 0/1")
     val n = x.length; val d = x(0).length
-    mu = new Array[Double](d); sd = new Array[Double](d)
-    // reuse ridge's standardization logic inline
-    var i = 0
-    while (i < n) { var j = 0; while (j < d) { mu(j) += x(i)(j); j += 1 }; i += 1 }
-    var j = 0
-    while (j < d) { mu(j) /= n; j += 1 }
-    i = 0
-    while (i < n) { j = 0; while (j < d) { val dv = x(i)(j) - mu(j); sd(j) += dv * dv; j += 1 }; i += 1 }
-    j = 0
-    while (j < d) { sd(j) = math.sqrt(sd(j) / n); if (sd(j) < 1e-9) sd(j) = 1.0; j += 1 }
-    val xs = x.map(xi => Array.tabulate(d)(j => (xi(j) - mu(j)) / sd(j)))
+    std = new Standardizer(x)
+    val xs = x.map(std.apply)
 
     w = new Array[Double](d); b = 0.0
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       val gw = new Array[Double](d)
       var gb = 0.0
-      i = 0
+      var i = 0
       while (i < n) {
         var z = b
-        j = 0
+        var j = 0
         while (j < d) { z += w(j) * xs(i)(j); j += 1 }
         val err = sigmoid(z) - y(i)
         gb += err
@@ -154,9 +120,9 @@ final class LogisticRegressionModel(
         while (j < d) { gw(j) += err * xs(i)(j); j += 1 }
         i += 1
       }
-      b -= lr * gb / n
-      j = 0
-      while (j < d) { w(j) -= lr * (gw(j) / n + lambda * w(j)); j += 1 }
+      b -= Lr * gb / n
+      var j = 0
+      while (j < d) { w(j) -= Lr * (gw(j) / n + Lambda * w(j)); j += 1 }
       it += 1
     }
     this
@@ -165,11 +131,25 @@ final class LogisticRegressionModel(
   def predictProba(xi: Array[Double]): Double = {
     var z = b
     var j = 0
-    while (j < w.length) { z += w(j) * (xi(j) - mu(j)) / sd(j); j += 1 }
+    while (j < w.length) { z += w(j) * (xi(j) - std.mu(j)) / std.sd(j); j += 1 }
     sigmoid(z)
   }
 
   def predict(xi: Array[Double]): Double = if (predictProba(xi) >= 0.5) 1.0 else 0.0
-  def predictProbaAll(x: Array[Array[Double]]): Array[Double] = x.map(predictProba)
   def coefficients: Array[Double] = w.clone()
+}
+
+/** Per-column mean and standard deviation of a training matrix (1.0 for a
+  * constant column): the standardization both linear models fit on.
+  */
+private final class Standardizer(x: Array[Array[Double]]) {
+  val mu = new Array[Double](x(0).length)
+  val sd = new Array[Double](mu.length)
+  for (xi <- x; j <- mu.indices) mu(j) += xi(j)
+  for (j <- mu.indices) mu(j) /= x.length
+  for (xi <- x; j <- mu.indices) { val dv = xi(j) - mu(j); sd(j) += dv * dv }
+  for (j <- sd.indices) { sd(j) = math.sqrt(sd(j) / x.length); if (sd(j) < 1e-9) sd(j) = 1.0 }
+
+  def apply(xi: Array[Double]): Array[Double] =
+    Array.tabulate(xi.length)(j => (xi(j) - mu(j)) / sd(j))
 }

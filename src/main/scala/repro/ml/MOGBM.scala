@@ -20,8 +20,7 @@ final class MOGBM(
     require(x.length == ys.length && x.nonEmpty, "MOGBM: bad input")
     require(ys.forall(_.length == nOutputs), "MOGBM: output arity mismatch")
     models = Vector.tabulate(nOutputs) { o =>
-      new GBMRegressor(nTrees, learningRate, maxDepth, minLeaf, subsample = 1.0, seed = seed + o)
-        .fit(x, ys.map(_(o)))
+      new GBMRegressor(nTrees, learningRate, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))
     }
     this
   }

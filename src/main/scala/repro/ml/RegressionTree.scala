@@ -12,10 +12,7 @@ final class RegressionTree(
     /** Number of candidate features per split; <=0 means all. */
     val featuresPerSplit: Int = 0,
 ) {
-
-  sealed trait Node
-  final case class Leaf(value: Double) extends Node
-  final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  import RegressionTree._
 
   private var rootOpt: Option[Node] = None
   private var importanceAcc: Array[Double] = Array.empty
@@ -44,8 +41,6 @@ final class RegressionTree(
     }
     0.0 // unreachable
   }
-
-  def predictAll(x: Array[Array[Double]]): Array[Double] = x.map(predict)
 
   private def grow(x: Array[Array[Double]], y: Array[Double], idx: Array[Int],
                    depth: Int, rng: Random): Node = {
@@ -110,6 +105,10 @@ final class RegressionTree(
 }
 
 object RegressionTree {
+
+  sealed trait Node
+  final case class Leaf(value: Double) extends Node
+  final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
   /** The trees' importances summed feature by feature, tree by tree, then
     * normalized to sum to 1 (left as is when all zero): the importances of

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.Oracle
-import repro.lake.DataLake
+import repro.lake.{DataLake, LakeTable, TabularLake}
 
 class UniversalSpec extends SparkSpec {
 
@@ -130,6 +130,22 @@ class UniversalSpec extends SparkSpec {
     Oracle.assertEquivalent(counts,
       s"SELECT ${(select :+ "COUNT(*) AS n").mkString(", ")} FROM u GROUP BY ${select.indices.map(_ + 1).mkString(", ")}",
       "u" -> uni.df.select(ids.map(uni.df.col): _*))
+  }
+
+  test("a segment attribute with nulls in D_U is an error naming it") {
+    def table(name: String, fields: Seq[String], rows: Seq[Row]): LakeTable = {
+      val schema = StructType(StructField("id", LongType, nullable = false) +:
+        fields.map(StructField(_, DoubleType, nullable = false)))
+      LakeTable(name, spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
+    }
+    val base = table("b", Seq("target", "f"), (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5)))
+    // the aux table covers two keys in three, so the left join leaves nulls
+    val aux = table("a", Seq("seg_aux"),
+      (0L until 60L).filter(_ % 3 != 0).map(i => Row(i, (i % 4) * 2.0)))
+    val lake = TabularLake("nulls", "id", "target", base, Seq(aux), Nil, Seq("seg_aux"),
+      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    val e = intercept[IllegalArgumentException](Universal.build(lake))
+    assert(e.getMessage.contains("seg_aux"))
   }
 
   test("layout cluster bits match the clustering sizes") {

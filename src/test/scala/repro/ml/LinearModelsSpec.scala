@@ -10,7 +10,7 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = Array.fill(300)(Array(rng.nextGaussian(), rng.nextGaussian()))
     val y = x.map(xi => 3 * xi(0) - 2 * xi(1) + 1 + rng.nextGaussian() * 0.01)
     val m = new RidgeRegression().fit(x, y)
-    assert(Metrics.r2(y, m.predictAll(x)) > 0.99)
+    assert(Metrics.r2(y, x.map(m.predict)) > 0.99)
   }
 
   test("ridge intercept equals mean for pure-noise features") {
@@ -35,7 +35,7 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = base.map(b => Array(b, b * 2.0))
     val y = base.map(_ * 3.0)
     val m = new RidgeRegression(lambda = 1e-2).fit(x, y)
-    assert(m.predictAll(x).forall(v => !v.isNaN && !v.isInfinite))
+    assert(x.map(m.predict).forall(v => !v.isNaN && !v.isInfinite))
   }
 
   test("ridge larger lambda shrinks coefficients") {
@@ -60,7 +60,7 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = Array.fill(100)(Array(rng.nextGaussian()))
     val y = x.map(xi => if (xi(0) > 0) 1.0 else 0.0)
     val m = new LogisticRegressionModel().fit(x, y)
-    assert(m.predictProbaAll(x).forall(p => p >= 0.0 && p <= 1.0))
+    assert(x.map(m.predictProba).forall(p => p >= 0.0 && p <= 1.0))
   }
 
   test("logreg rejects non-binary labels") {
@@ -81,7 +81,7 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = Array.fill(400)(Array(rng.nextGaussian()))
     val y = x.map(xi => if (xi(0) + rng.nextGaussian() * 0.5 > 0) 1.0 else 0.0)
     val m = new LogisticRegressionModel().fit(x, y)
-    assert(Metrics.auc(y, m.predictProbaAll(x)) > 0.8)
+    assert(Metrics.auc(y, x.map(m.predictProba)) > 0.8)
   }
 
   test("both models are deterministic") {
@@ -89,9 +89,9 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = Array.fill(150)(Array(rng.nextGaussian(), rng.nextGaussian()))
     val yR = x.map(xi => xi(0) * 2)
     val yC = x.map(xi => if (xi(1) > 0) 1.0 else 0.0)
-    assert(new RidgeRegression().fit(x, yR).predictAll(x).toSeq ==
-      new RidgeRegression().fit(x, yR).predictAll(x).toSeq)
-    assert(new LogisticRegressionModel().fit(x, yC).predictProbaAll(x).toSeq ==
-      new LogisticRegressionModel().fit(x, yC).predictProbaAll(x).toSeq)
+    assert(x.map(new RidgeRegression().fit(x, yR).predict).toSeq ==
+      x.map(new RidgeRegression().fit(x, yR).predict).toSeq)
+    assert(x.map(new LogisticRegressionModel().fit(x, yC).predictProba).toSeq ==
+      x.map(new LogisticRegressionModel().fit(x, yC).predictProba).toSeq)
   }
 }

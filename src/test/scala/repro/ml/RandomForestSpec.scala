@@ -15,21 +15,13 @@ class RandomForestSpec extends AnyFunSuite {
   test("classifies a linear boundary") {
     val (x, y) = classData(500, 1)
     val m = new RandomForest(nTrees = 20).fit(x, y)
-    assert(Metrics.accuracy(y, m.predictAll(x)) > 0.9)
+    assert(Metrics.accuracy(y, x.map(m.predict)) > 0.9)
   }
 
   test("probability scores are in [0,1]") {
     val (x, y) = classData(200, 2)
     val m = new RandomForest(nTrees = 15).fit(x, y)
-    assert(m.predictScoreAll(x).forall(s => s >= 0.0 && s <= 1.0))
-  }
-
-  test("regression mode fits a continuous target") {
-    val rng = new Random(3)
-    val x = Array.fill(400)(Array(rng.nextGaussian(), rng.nextGaussian()))
-    val y = x.map(xi => 3 * xi(0) + rng.nextGaussian() * 0.1)
-    val m = new RandomForest(nTrees = 25, classification = false).fit(x, y)
-    assert(Metrics.r2(y, m.predictAll(x)) > 0.7)
+    assert(x.map(m.predictScore).forall(s => s >= 0.0 && s <= 1.0))
   }
 
   test("classification rejects non-binary labels") {
@@ -39,29 +31,22 @@ class RandomForestSpec extends AnyFunSuite {
 
   test("deterministic for a fixed seed") {
     val (x, y) = classData(300, 4)
-    val a = new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScoreAll(x).toSeq
-    val b = new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScoreAll(x).toSeq
+    val a = x.map(new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScore).toSeq
+    val b = x.map(new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScore).toSeq
     assert(a == b)
   }
 
   test("different seeds give different forests") {
     val (x, y) = classData(300, 5)
-    val a = new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScoreAll(x).toSeq
-    val b = new RandomForest(nTrees = 10, seed = 3).fit(x, y).predictScoreAll(x).toSeq
+    val a = x.map(new RandomForest(nTrees = 10, seed = 2).fit(x, y).predictScore).toSeq
+    val b = x.map(new RandomForest(nTrees = 10, seed = 3).fit(x, y).predictScore).toSeq
     assert(a != b)
-  }
-
-  test("importances highlight the informative features") {
-    val (x, y) = classData(600, 6)
-    val m = new RandomForest(nTrees = 30).fit(x, y)
-    val im = m.importances
-    assert(im(0) + im(1) > im(2))
   }
 
   test("AUC on held-out data beats random") {
     val (xtr, ytr) = classData(400, 7)
     val (xte, yte) = classData(200, 8)
     val m = new RandomForest(nTrees = 25).fit(xtr, ytr)
-    assert(Metrics.auc(yte, m.predictScoreAll(xte)) > 0.85)
+    assert(Metrics.auc(yte, xte.map(m.predictScore)) > 0.85)
   }
 }

@@ -15,7 +15,7 @@ class RegressionTreeSpec extends AnyFunSuite {
   test("learns a single-feature step function") {
     val (x, y) = stepData(200, 1)
     val t = new RegressionTree(maxDepth = 2, minLeaf = 5).fit(x, y)
-    val preds = t.predictAll(x)
+    val preds = x.map(t.predict)
     assert(Metrics.mse(y, preds) < 1.0)
   }
 
@@ -23,7 +23,7 @@ class RegressionTreeSpec extends AnyFunSuite {
     val x = Array.fill(50)(Array(Random.nextDouble()))
     val y = Array.fill(50)(3.0)
     val t = new RegressionTree().fit(x, y)
-    assert(t.root.isInstanceOf[t.Leaf])
+    assert(t.root.isInstanceOf[RegressionTree.Leaf])
     assert(t.predict(Array(0.5)) == 3.0)
   }
 
@@ -39,9 +39,9 @@ class RegressionTreeSpec extends AnyFunSuite {
     val y = x.map(_(0))
     val t = new RegressionTree(maxDepth = 10, minLeaf = 5).fit(x, y)
     // with minLeaf=5 and 10 points, at most one split
-    def depth(n: t.Node): Int = n match {
-      case t.Leaf(_)            => 0
-      case t.Split(_, _, l, r)  => 1 + math.max(depth(l), depth(r))
+    def depth(n: RegressionTree.Node): Int = n match {
+      case RegressionTree.Leaf(_)           => 0
+      case RegressionTree.Split(_, _, l, r) => 1 + math.max(depth(l), depth(r))
     }
     assert(depth(t.root) <= 1)
   }
@@ -61,8 +61,8 @@ class RegressionTreeSpec extends AnyFunSuite {
 
   test("deterministic given same data and rng seed") {
     val (x, y) = stepData(150, 5)
-    val p1 = new RegressionTree(3, 5).fit(x, y, new Random(9)).predictAll(x).toSeq
-    val p2 = new RegressionTree(3, 5).fit(x, y, new Random(9)).predictAll(x).toSeq
+    val p1 = x.map(new RegressionTree(3, 5).fit(x, y, new Random(9)).predict).toSeq
+    val p2 = x.map(new RegressionTree(3, 5).fit(x, y, new Random(9)).predict).toSeq
     assert(p1 == p2)
   }
 
@@ -90,13 +90,13 @@ class RegressionTreeSpec extends AnyFunSuite {
     val y = x.map(xi => math.floor(xi(0)))
     val shallow = new RegressionTree(1, 2).fit(x, y)
     val deep = new RegressionTree(5, 2).fit(x, y)
-    assert(Metrics.mse(y, deep.predictAll(x)) < Metrics.mse(y, shallow.predictAll(x)))
+    assert(Metrics.mse(y, x.map(deep.predict)) < Metrics.mse(y, x.map(shallow.predict)))
   }
 
   test("featuresPerSplit=1 on two features still fits with enough depth") {
     val (x, y) = stepData(300, 8)
     val t = new RegressionTree(maxDepth = 6, minLeaf = 5, featuresPerSplit = 1)
       .fit(x, y, new Random(3))
-    assert(Metrics.mse(y, t.predictAll(x)) < 25.0)
+    assert(Metrics.mse(y, x.map(t.predict)) < 25.0)
   }
 }
