@@ -32,10 +32,11 @@ sealed abstract class GradientBoosting(
     f0 = start(y)
     trees = Vector.empty
     val scores = Array.fill(y.length)(f0)
+    val order = RegressionTree.presort(x)
     var t = 0
     while (t < nTrees) {
       val resid = Array.tabulate(y.length)(i => y(i) - link(scores(i)))
-      val tree = new RegressionTree(maxDepth, minLeaf).fit(x, resid, rng)
+      val tree = new RegressionTree(maxDepth, minLeaf).fit(x, resid, rng, order)
       trees :+= tree
       var i = 0
       while (i < y.length) { scores(i) += learningRate * tree.predict(x(i)); i += 1 }

@@ -20,9 +20,10 @@ final class RandomForest(
     val rng = new Random(seed)
     val nFeat = x(0).length
     val mtry = math.max(1, math.round(math.sqrt(nFeat.toDouble)).toInt)
+    val order = RegressionTree.presort(x)
     trees = Vector.tabulate(nTrees) { _ =>
       val sample = Array.fill(x.length)(rng.nextInt(x.length)) // bootstrap
-      new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry).fit(x, y, rng, sample)
+      new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry).fit(x, y, rng, order.sample(sample))
     }
     this
   }

@@ -69,7 +69,7 @@ class RegressionTreeSpec extends AnyFunSuite {
   test("sample subset restricts training rows") {
     val (x, y) = stepData(100, 6)
     val left = Array.range(0, 50).filter(i => x(i)(0) <= 5)
-    val t = new RegressionTree(2, 2).fit(x, y, new Random(0), left)
+    val t = new RegressionTree(2, 2).fit(x, y, new Random(0), RegressionTree.presort(x).sample(left))
     // trained only on the low side: predicts about -10 everywhere
     assert(math.abs(t.predict(Array(9.0, 0.5)) + 10.0) < 2.0)
   }
