@@ -163,10 +163,14 @@ object RegressionTree {
     }
   }
 
-  /** Every row of `x`, sorted once per feature: by (sortable float bits of
-    * the value, row index), a total order packed into longs and
-    * primitive-sorted. Float rounding only perturbs ordering among
-    * near-equal keys, which cannot invalidate a split.
+  /** Every row of `x`, sorted once per feature by (float key of the value,
+    * row index), a total order packed into longs and primitive-sorted: the
+    * order the recorded trees (MLGoldenSpec) were grown in. The key is not
+    * the values' order. It puts every value whose sign bit is clear (0.0 and
+    * up) before every value whose sign bit is set (-0.0 and below),
+    * and orders distinct doubles that round to one float by row index, so
+    * the prefix a split scores can differ from the partition its threshold
+    * makes.
     */
   def presort(x: Array[Array[Double]]): Presorted = {
     val n = x.length

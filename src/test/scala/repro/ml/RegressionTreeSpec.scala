@@ -1,9 +1,12 @@
 package repro.ml
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.Checkers
 import scala.util.Random
 
-class RegressionTreeSpec extends AnyFunSuite {
+class RegressionTreeSpec extends AnyFunSuite with Checkers {
+  import RegressionTree.{Leaf, Node, Split}
 
   private def stepData(n: Int, seed: Int): (Array[Array[Double]], Array[Double]) = {
     val rng = new Random(seed)
@@ -98,5 +101,95 @@ class RegressionTreeSpec extends AnyFunSuite {
     val t = new RegressionTree(maxDepth = 6, minLeaf = 5, featuresPerSplit = 1)
       .fit(x, y, new Random(3))
     assert(Metrics.mse(y, x.map(t.predict)) < 25.0)
+  }
+
+  /** Reference tree: re-sorts the node's rows at every node by the key the
+    * presort uses, (float key of the value, row index). Returns the root and
+    * importances.
+    */
+  private def referenceFit(x: Array[Array[Double]], y: Array[Double], rng: Random,
+                           sample: Array[Int], maxDepth: Int, minLeaf: Int,
+                           featuresPerSplit: Int): (Node, Array[Double]) = {
+    val nFeat = x(0).length
+    val imp = new Array[Double](nFeat)
+    def grow(idx: Array[Int], depth: Int): Node = {
+      val n = idx.length
+      val sum = idx.foldLeft(0.0)((a, j) => a + y(j))
+      val mean = sum / n
+      if (depth >= maxDepth || n < 2 * minLeaf) return Leaf(mean)
+      val sse = idx.foldLeft(0.0) { (a, j) => val d = y(j) - mean; a + d * d }
+      if (sse <= 1e-12) return Leaf(mean)
+      val cand =
+        if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) Array.range(0, nFeat)
+        else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
+      var (bestGain, bestFeat, bestThr) = (0.0, -1, 0.0)
+      for (f <- cand) {
+        val sorted = idx.sortWith { (a, b) =>
+          val (ka, kb) = (floatKey(x(a)(f)), floatKey(x(b)(f))); ka < kb || (ka == kb && a < b)
+        }
+        var leftSum = 0.0
+        for (k <- 0 until n - 1) {
+          leftSum += y(sorted(k))
+          val (vHere, vNext) = (x(sorted(k))(f), x(sorted(k + 1))(f))
+          if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
+            val (nl, rightSum) = (k + 1, sum - leftSum)
+            val gain = leftSum * leftSum / nl + rightSum * rightSum / (n - nl) - sum * sum / n
+            if (gain > bestGain + 1e-12) { bestGain = gain; bestFeat = f; bestThr = (vHere + vNext) / 2.0 }
+          }
+        }
+      }
+      if (bestFeat < 0) return Leaf(mean)
+      imp(bestFeat) += bestGain
+      val (l, r) = idx.partition(j => x(j)(bestFeat) <= bestThr)
+      Split(bestFeat, bestThr, grow(l, depth + 1), grow(r, depth + 1))
+    }
+    (grow(sample, 0), imp)
+  }
+
+  private def floatKey(v: Double): Int = {
+    val raw = java.lang.Float.floatToIntBits(v.toFloat)
+    if (raw < 0) ~raw else raw ^ 0x80000000
+  }
+
+  /** A tree with every double as its bits, so string equality is bit equality. */
+  private def bits(n: Node): String = n match {
+    case Leaf(v)           => s"L${java.lang.Double.doubleToRawLongBits(v)}"
+    case Split(f, t, l, r) => s"S($f,${java.lang.Double.doubleToRawLongBits(t)},${bits(l)},${bits(r)})"
+  }
+
+  test("presorted trees equal trees that re-sort at every node") {
+    // few distinct levels per feature, including -0.0 vs 0.0 and two doubles
+    // that share a float, so ties and near-ties are common
+    val pool = Vector(-0.0, 0.0, 1.0, 1.0 + 1e-9, 2.5, -3.0, 7.25)
+    val gen = for {
+      n <- Gen.choose(1, 40)
+      nFeat <- Gen.choose(1, 5)
+      levels <- Gen.choose(1, pool.size)
+      continuous <- Gen.oneOf(false, true)
+      sampleKind <- Gen.choose(0, 2) // all rows, bootstrap, strict subset
+      maxDepth <- Gen.choose(0, 5)
+      minLeaf <- Gen.choose(0, 4)
+      featuresPerSplit <- Gen.choose(-1, nFeat + 1)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (n, nFeat, levels, continuous, sampleKind, maxDepth, minLeaf, featuresPerSplit, seed)
+    check(Prop.forAll(gen) {
+      case (n, nFeat, levels, continuous, sampleKind, maxDepth, minLeaf, featuresPerSplit, seed) =>
+        val rng = new Random(seed)
+        val x = Array.fill(n, nFeat)(
+          if (continuous && rng.nextBoolean()) rng.nextGaussian() else pool(rng.nextInt(levels)))
+        val y = Array.fill(n)(rng.nextInt(4).toDouble)
+        val sample = sampleKind match {
+          case 0 => Array.range(0, n)
+          case 1 => Array.fill(n)(rng.nextInt(n))
+          case _ => rng.shuffle(Array.range(0, n).toSeq).take(1 + rng.nextInt(n)).toArray
+        }
+        val all = RegressionTree.presort(x)
+        val tree = new RegressionTree(maxDepth, minLeaf, featuresPerSplit)
+          .fit(x, y, new Random(seed), if (sampleKind == 0) all else all.sample(sample))
+        val (root, imp) = referenceFit(x, y, new Random(seed), sample, maxDepth, minLeaf, featuresPerSplit)
+        bits(tree.root) == bits(root) &&
+          tree.importances.map(java.lang.Double.doubleToRawLongBits).sameElements(
+            imp.map(java.lang.Double.doubleToRawLongBits))
+    }, minSuccessful = 500)
   }
 }
