@@ -111,9 +111,12 @@ final class TabularTask(
       raw += "r2" -> Metrics.r2(yte, scores)
       raw += "acc" -> Metrics.regressionAccuracy(yte, scores)
     }
-    val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
-    raw += "fsc" -> Metrics.fisherScore(allX, yBin)
-    raw += "mi" -> Metrics.mutualInformation(allX, yBin)
+    // over every row: only tasks that search or report them pay for them
+    if (measureNames.exists(m => m == "fsc" || m == "mi")) {
+      val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
+      raw += "fsc" -> Metrics.fisherScore(allX, yBin)
+      raw += "mi" -> Metrics.mutualInformation(allX, yBin)
+    }
 
     val norm = measureNames.map(m => normalize(m, raw.toMap)).toArray
     Some(EvalResult(raw.toMap, norm, rows = n, cols = featCols.length))
