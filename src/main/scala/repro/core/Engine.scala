@@ -23,7 +23,8 @@ final class ModisEngine(
   private var explored = 0
   private var seqCounter = 0L
 
-  import ModisEngine.Entry
+  import ModisEngine.{Entry, PruneBasis}
+  private var basis = PruneBasis(-1, Array.empty, Array.empty, correlated = false)
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by[Entry, (Double, Long)](e => (e.priority, e.seq)).reverse
 
@@ -98,24 +99,32 @@ final class ModisEngine(
     * state parameterized-ε-dominates the candidate's optimistic bounds.
     */
   private def canPrune(s: State): Boolean = {
-    val recs = valuator.records
-    if (recs.length < 8 || grid.size == 0) return false
-    val sizes = recs.map(r => space.rowCountEstimate(r._1).toDouble).toArray
+    if (grid.size == 0) return false
+    val b = pruneBasis()
+    if (b.sizes.length < 8 || !b.correlated) return false
+    val sizes = b.sizes
     val mySize = space.rowCountEstimate(s).toDouble
     // optimistic bounds come from the 3 records nearest in size (Example 6)
-    val near = recs.indices.sortBy(j => math.abs(sizes(j) - mySize)).take(3)
-    val d = space.measures.length
-    val lows = new Array[Double](d)
-    var i = 0
-    while (i < d) {
-      val ps = recs.map(_._2(i)).toArray
-      if (math.abs(Stats.spearman(sizes, ps)) < cfg.theta) return false
-      lows(i) = near.map(ps).min
-      i += 1
-    }
+    val near = sizes.indices.sortBy(j => math.abs(sizes(j) - mySize)).take(3)
+    val lows = b.perf.map(ps => near.map(ps).min)
     grid.entries.exists { case (_, e) =>
-      (0 until d).forall(j => e(j) <= (1 + cfg.eps) * lows(j))
+      lows.indices.forall(j => e(j) <= (1 + cfg.eps) * lows(j))
     }
+  }
+
+  /** [[canPrune]]'s view of T, rebuilt only when T can have grown: T holds
+    * every usable valuated state with its fixed vector, so it changes only
+    * when the valuation count does.
+    */
+  private def pruneBasis(): PruneBasis = {
+    if (basis.valuated != valuator.count) {
+      val recs = valuator.records
+      val sizes = recs.map(r => space.rowCountEstimate(r._1).toDouble).toArray
+      val perf = Array.tabulate(space.measures.length)(i => recs.map(_._2(i)).toArray)
+      basis = PruneBasis(valuator.count, sizes, perf,
+        perf.forall(ps => math.abs(Stats.spearman(sizes, ps)) >= cfg.theta))
+    }
+    basis
   }
 
   /** DivMODis' per-level greedy swap (Algorithm 3): keep at most k skyline
@@ -137,6 +146,13 @@ object ModisEngine {
     * towards user-defined upper bounds"). Ties break FIFO for determinism.
     */
   private final case class Entry(s: State, lvl: Int, priority: Double, seq: Long)
+
+  /** The records T as `canPrune` reads them, taken at `valuated` valuations:
+    * each record's size, each measure's values over the records, and
+    * whether every measure correlates with size (|Spearman ρ| ≥ θ).
+    */
+  private final case class PruneBasis(valuated: Int, sizes: Array[Double],
+                                      perf: Array[Array[Double]], correlated: Boolean)
 
   /** Pairwise distance of Eq. 2: α·(1−cos(L_i,L_j))/2 + (1−α)·euc/euc_m. */
   def dis(a: (State, Array[Double]), b: (State, Array[Double]),
