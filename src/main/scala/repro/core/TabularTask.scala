@@ -111,7 +111,7 @@ final class TabularTask(
       raw += "r2" -> Metrics.r2(yte, scores)
       raw += "acc" -> Metrics.regressionAccuracy(yte, scores)
     }
-    // over every row: only tasks that search or report them pay for them
+    // both scan every row, so only tasks whose measures use them compute them
     if (measureNames.exists(m => m == "fsc" || m == "mi")) {
       val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
       raw += "fsc" -> Metrics.fisherScore(allX, yBin)

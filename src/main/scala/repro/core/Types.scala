@@ -57,8 +57,9 @@ final case class BitLayout(attrs: Vector[String], clusters: Vector[(String, Int)
 }
 
 /** Result of exactly evaluating a state's dataset: the raw metric map (what
-  * the paper's tables report), the normalized minimized vector (what the
-  * search optimizes), and the output size.
+  * the paper's tables report; a tabular task reports the Fisher score and
+  * MI only when its measures include one of them), the normalized
+  * minimized vector (what the search optimizes), and the output size.
   */
 final case class EvalResult(raw: Map[String, Double], norm: Array[Double], rows: Int, cols: Int)
 

@@ -23,7 +23,8 @@ final class RandomForest(
     val order = RegressionTree.presort(x)
     trees = Vector.tabulate(nTrees) { _ =>
       val sample = Array.fill(x.length)(rng.nextInt(x.length)) // bootstrap
-      new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry).fit(x, y, rng, order.sample(sample))
+      new RegressionTree(maxDepth, minLeaf, featuresPerSplit = mtry)
+        .fit(x, y, rng, order.sample(sample))
     }
     this
   }

@@ -138,8 +138,7 @@ object RegressionTree {
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
   /** Training rows in their natural order (ascending index, or bootstrap
-    * draw order), and for each feature the same rows sorted by that
-    * feature's value.
+    * draw order), and for each feature the same rows in [[presort]]'s order.
     */
   final class Presorted private[RegressionTree] (
       val rows: Array[Int], val byFeature: Array[Array[Int]]) {
