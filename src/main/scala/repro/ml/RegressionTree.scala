@@ -141,7 +141,7 @@ object RegressionTree {
     * draw order), and for each feature the same rows in [[presort]]'s order.
     */
   final class Presorted private[RegressionTree] (
-      val rows: Array[Int], val byFeature: Array[Array[Int]]) {
+      private[ml] val rows: Array[Int], private[ml] val byFeature: Array[Array[Int]]) {
 
     /** The presort of the bootstrap or subset `draws` of the rows of this
       * presort of all rows: each feature's order with row `j` repeated as
