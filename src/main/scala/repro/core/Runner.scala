@@ -60,8 +60,10 @@ object Runner {
       MethodReport(name, r.raw, r.rows, r.cols, secs)
     }
 
-    val original = reportDf("Original", universal.df.drop(
-      universal.layout.segAttrs.map(universal.hiddenCol): _*), 0.0)
+    // s_U is D_U itself; the space evaluates it from the driver copy
+    val full = space.evaluate(space.full).getOrElse(
+      throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
+    val original = MethodReport("Original", full.raw, full.rows, full.cols, 0.0)
 
     val baselines = Vector(
       { val (df, t) = timed(Metam.run(lake, task, primary)); reportDf("METAM", df, t) },

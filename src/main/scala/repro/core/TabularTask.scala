@@ -48,9 +48,9 @@ final class TabularTask(
   }
 
   /** Evaluate a materialized dataset: collect it in key order and hand it
-    * to the shared evaluation below. Calibration, Original and the
-    * baselines come through here; the search's states come through
-    * [[TabularSpace.evaluate]] from the driver copy of D_U.
+    * to the shared evaluation below. Calibration and the baselines come
+    * through here; the search's states and Runner's Original row come
+    * through [[TabularSpace.evaluate]] from the driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
     val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)

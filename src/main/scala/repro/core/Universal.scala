@@ -13,7 +13,8 @@ import repro.util.KMeans1D
   * filters.
   *
   * The search evaluates states from [[driverCopy]], D_U collected into the
-  * driver once; [[materialize]] stays the Spark reference the oracle checks.
+  * driver once at build; [[materialize]] stays the Spark reference the
+  * oracle checks.
   */
 final case class UniversalTable(
     df: DataFrame,
@@ -21,11 +22,7 @@ final case class UniversalTable(
     target: String,
     layout: BitLayout,
     clusterings: Map[String, KMeans1D.Clustering],
-    /** row counts per (cluster-id per segment attr, in layout.segAttrs order) —
-      * a driver-side contingency table giving any state's row count for free
-      * (used by BiMODis' correlation-based pruning).
-      */
-    segCounts: Map[Vector[Int], Long],
+    driverCopy: DriverCopy,
 ) {
   def hiddenCol(segAttr: String): String = s"__cl_$segAttr"
 
@@ -48,6 +45,13 @@ final case class UniversalTable(
       else acc && col(hiddenCol(seg)).isin(allowed.toSeq: _*)
     }
 
+  /** Row counts per combination of cluster ids (one per segment attribute,
+    * in layout.segAttrs order): a driver-side contingency table giving any
+    * state's row count for free (used by BiMODis' correlation-based pruning).
+    */
+  lazy val segCounts: Map[Vector[Int], Long] =
+    driverCopy.keys.indices.groupMapReduce(r => driverCopy.clusterIds.map(_(r)).toVector)(_ => 1L)(_ + _)
+
   // Bit index of each cluster of each segment attribute, in layout.segAttrs order.
   private lazy val clusterBits: Array[Array[Int]] =
     layout.segAttrs.map(seg => Array.tabulate(clusterings(seg).k)(layout.clusterIdx(seg, _))).toArray
@@ -68,18 +72,6 @@ final case class UniversalTable(
       if (i == ok.length) total += c
     }
     total
-  }
-
-  /** D_U in the driver, collected on first use (not at build time, so the
-    * search that needs it pays for it) and sorted by key.
-    */
-  lazy val driverCopy: DriverCopy = {
-    val nAttrs = layout.attrs.size
-    val (keys, f) = Frame.collect(df, key, target, layout.attrs ++ layout.segAttrs.map(hiddenCol))
-    // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
-    require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate $key values")
-    val cols = Array.tabulate(f.nCols)(j => f.x.map(_(j)))
-    DriverCopy(keys, f.y, cols.take(nAttrs), cols.drop(nAttrs).map(_.map(_.toInt)))
   }
 
   /** Indices into [[driverCopy]] of a state's rows, in key order: the
@@ -115,29 +107,44 @@ final case class UniversalTable(
 
 /** D_U collected into the driver, one array per column, rows in key order:
   * the key and target, each layout attribute (NaN for null) by
-  * `layout.attrs` index, and the `__cl_*` ids Spark computed for each
-  * segment attribute by `layout.segAttrs` index.
+  * `layout.attrs` index, and each segment attribute's cluster ids by
+  * `layout.segAttrs` index. The ids are assigned in the driver from the
+  * clusterings; they equal the `__cl_*` values Spark computes.
   */
 final case class DriverCopy(keys: Array[Long], target: Array[Double],
                             attrs: Array[Array[Double]], clusterIds: Array[Array[Int]])
 
 object Universal {
 
+  /** Most literals a segment attribute's active domain is clustered into. */
+  val MaxK = 6
+
   /** Build D_U for a tabular lake: left-outer join every aux table onto the
     * base over the key (preserving every labelled row — the supervised
-    * variant of the paper's outer-join universal table), then cluster each
-    * segment attribute's active domain into at most `maxK` literals.
+    * variant of the paper's outer-join universal table), collect it into the
+    * driver once in key order, and cluster each segment attribute's active
+    * domain there into at most [[MaxK]] literals. Key order makes the
+    * clusters a pure function of the lake, whatever Spark's partitioning.
     */
-  def build(lake: TabularLake, maxK: Int = 6): UniversalTable = {
+  def build(lake: TabularLake): UniversalTable = {
     var df = lake.base.df
     for (t <- lake.aux) df = df.join(t.df, Seq(lake.key), "left_outer")
 
+    val attrs = (lake.base.df.columns ++ lake.aux.flatMap(_.df.columns))
+      .distinct.filterNot(c => c == lake.key || c == lake.target).toVector
+    val (keys, f) = Frame.collect(df, lake.key, lake.target, attrs)
+    // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
+    require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate ${lake.key} values")
+    val cols = Array.tabulate(f.nCols)(j => f.x.map(_(j)))
+
     val segAttrs = lake.segmentAttrs.toVector
     val clusterings = segAttrs.map { a =>
-      val rows = df.select(col(a)).collect()
-      require(!rows.exists(_.isNullAt(0)), s"segment attribute $a has nulls in D_U; no cluster covers them")
-      a -> KMeans1D.fit(rows.map(_.getDouble(0)), maxK)
+      val v = cols(attrs.indexOf(a))
+      // Frame.collect reads null as NaN; neither has a cluster
+      require(!v.exists(_.isNaN), s"segment attribute $a has nulls or NaN in D_U; no cluster covers them")
+      a -> KMeans1D.fit(v, MaxK)
     }.toMap
+    val ids = segAttrs.map(a => cols(attrs.indexOf(a)).map(clusterings(a).assign)).toArray
 
     // hidden cluster-id columns via boundary CASE chains (pure Catalyst)
     for (a <- segAttrs) {
@@ -147,22 +154,10 @@ object Universal {
       }
       df = df.withColumn(s"__cl_$a", expr.cast("int"))
     }
-    val cached = df.cache()
-    cached.count() // force
 
-    val attrs = (lake.base.df.columns ++ lake.aux.flatMap(_.df.columns))
-      .distinct.filterNot(c => c == lake.key || c == lake.target).toVector
     val clusterBits = segAttrs.flatMap(a => (0 until clusterings(a).k).map(c => (a, c)))
-    val layout = BitLayout(attrs, clusterBits)
-
-    val countRows = cached
-      .groupBy(segAttrs.map(a => col(s"__cl_$a")): _*)
-      .count()
-      .collect()
-    val segCounts = countRows.map { r =>
-      (segAttrs.indices.map(i => r.getInt(i)).toVector, r.getLong(segAttrs.size))
-    }.toMap
-
-    UniversalTable(cached, lake.key, lake.target, layout, clusterings, segCounts)
+    // not forced: the first Spark job over D_U (calibration's collect) fills the cache
+    UniversalTable(df.cache(), lake.key, lake.target, BitLayout(attrs, clusterBits), clusterings,
+      DriverCopy(keys, f.y, cols, ids))
   }
 }

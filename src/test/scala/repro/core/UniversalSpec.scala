@@ -146,6 +146,37 @@ class UniversalSpec extends SparkSpec {
       classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
     val e = intercept[IllegalArgumentException](Universal.build(lake))
     assert(e.getMessage.contains("seg_aux"))
+    // a NaN cell has no cluster either (the driver reads null as NaN)
+    val nan = table("n", Seq("seg_nan"), (0L until 60L).map(i => Row(i, if (i % 7 == 0) Double.NaN else i % 3 * 1.0)))
+    val nanLake = lake.copy(aux = Seq(nan), segmentAttrs = Seq("seg_nan"))
+    val e2 = intercept[IllegalArgumentException](Universal.build(nanLake))
+    assert(e2.getMessage.contains("seg_nan"))
+  }
+
+  test("D_U does not depend on how the sources are partitioned or ordered") {
+    def reversed(t: LakeTable): LakeTable =
+      t.copy(df = spark.createDataFrame(spark.sparkContext.parallelize(t.df.collect().reverse.toSeq, 3), t.df.schema))
+    val shuffled = lake.copy(base = reversed(lake.base), aux = lake.aux.map(t => t.copy(df = t.df.repartition(5))))
+    uni.driverCopy // built under the session's settings
+    // Small joins are coalesced into one partition and sorted by key, so the
+    // rows would come back in key order anyway; uncoalesced, they come back
+    // in hash-partition order.
+    val conf = Seq("spark.sql.shuffle.partitions" -> "7", "spark.sql.adaptive.coalescePartitions.enabled" -> "false")
+    val saved = conf.map { case (k, _) => k -> spark.conf.get(k) }
+    conf.foreach { case (k, v) => spark.conf.set(k, v) }
+    val other = try Universal.build(shuffled) finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    lake.segmentAttrs.foreach { a =>
+      assert(bits(other.clusterings(a).boundaries) == bits(uni.clusterings(a).boundaries), a)
+      assert(bits(other.clusterings(a).centroids) == bits(uni.clusterings(a).centroids), a)
+    }
+    assert(other.segCounts == uni.segCounts)
+    val (d, e) = (uni.driverCopy, other.driverCopy)
+    assert(d.keys.toSeq == e.keys.toSeq)
+    assert(bits(d.target) == bits(e.target))
+    assert(d.attrs.map(bits).toSeq == e.attrs.map(bits).toSeq)
+    assert(d.clusterIds.map(_.toSeq).toSeq == e.clusterIds.map(_.toSeq).toSeq)
+    other.df.unpersist()
   }
 
   test("layout cluster bits match the clustering sizes") {
