@@ -6,7 +6,8 @@ import scala.util.Random
 /** Golden outputs of every model the system fits, with the hyperparameters
   * the system fits it with: `TabularTask`'s GBMs, RF and ridge,
   * `FeatureSelect`'s GBMs and linear models, and the `SurrogateValuator`'s
-  * MO-GBM. Predictions on 5 rows, GBM importances and the linear models'
+  * MO-GBM, plus the task's GBM classifier on a 2,000-row input whose upper
+  * tree nodes are large enough to scan in parallel. Predictions on 5 rows, GBM importances and the linear models'
   * coefficients print in their shortest round-trip form, so string
   * equality is bit equality. A refactor of the ML substrate must reproduce
   * these strings exactly.
@@ -36,6 +37,23 @@ class MLGoldenSpec extends AnyFunSuite {
 
   private val rows = Seq(0, 57, 128, 199, 311)
 
+  /** 2,000 rows of ten features, large enough that a tree's upper nodes
+    * scan their features on several threads: seven Gaussians and three
+    * discrete features with 3, 6 and 9 levels.
+    */
+  private val xLarge: Array[Array[Double]] = {
+    val rng = new Random(2026)
+    Array.fill(2000)(Array.tabulate(10)(j =>
+      if (j < 7) rng.nextGaussian() else rng.nextInt(3 * (j - 6)).toDouble))
+  }
+
+  private val yLarge: Array[Double] = {
+    val rng = new Random(79)
+    xLarge.map(r => if (r(0) - 0.7 * r(3) + 0.3 * r(7) - 0.2 * r(9) + 0.6 * rng.nextGaussian() > 0) 1.0 else 0.0)
+  }
+
+  private val rowsLarge = Seq(0, 333, 1024, 1500, 1999)
+
   private def fmt(v: Seq[Double]): String = v.mkString(",")
   private def at(f: Array[Double] => Double): String = fmt(rows.map(i => f(x(i))))
 
@@ -49,6 +67,7 @@ class MLGoldenSpec extends AnyFunSuite {
     val logit = new LogisticRegressionModel().fit(x, yCls)
     val ys = x.indices.map(i => Array(yReg(i), yCls(i), yReg(i) * yCls(i))).toArray
     val mogbm = new MOGBM(nOutputs = 3, nTrees = 40, maxDepth = 3, minLeaf = 2).fit(x, ys)
+    val gbmL = new GBMClassifier(nTrees = 30, maxDepth = 4).fit(xLarge, yLarge)
     Map(
       "task GBMRegressor predict" -> at(gbmR.predict),
       "task GBMRegressor importances" -> fmt(gbmR.importances),
@@ -63,11 +82,17 @@ class MLGoldenSpec extends AnyFunSuite {
       "RidgeRegression coefficients" -> fmt(ridge.coefficients),
       "LogisticRegressionModel predictProba" -> at(logit.predictProba),
       "LogisticRegressionModel coefficients" -> fmt(logit.coefficients),
-      "MOGBM predict" -> rows.map(i => fmt(mogbm.predict(x(i)))).mkString(";"))
+      "MOGBM predict" -> rows.map(i => fmt(mogbm.predict(x(i)))).mkString(";"),
+      "2,000-row GBMClassifier predictProba" -> fmt(rowsLarge.map(i => gbmL.predictProba(xLarge(i)))),
+      "2,000-row GBMClassifier importances" -> fmt(gbmL.importances))
   }
 
   // Recorded, not derived: any change to these strings is a change of behaviour.
   private val expected: Map[String, String] = Map(
+    "2,000-row GBMClassifier importances" ->
+      "0.7173022467694516,0.0021187172858567666,6.17626631554558E-4,0.1891157499544196,0.0,4.97626824148298E-4,5.290158902027475E-4,5.671695175981252E-4,0.0,0.0892518471267684",
+    "2,000-row GBMClassifier predictProba" ->
+      "0.253722876219738,0.16706237920355796,0.16615343018394435,0.16754811327908284,0.5103534422375978",
     "LogisticRegressionModel coefficients" ->
       "3.3878117042300135,1.746661820706672,-0.20230341916878403,-0.22286417485411872,-0.7677073699861997,0.0",
     "LogisticRegressionModel predictProba" ->
