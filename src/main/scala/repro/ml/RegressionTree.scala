@@ -124,8 +124,9 @@ final class RegressionTree(
       i = lo
       while (i < hi) { val j = rows(i); goLeft(j) = x(j)(bestFeat) <= bestThr; i += 1 }
       val mid = partition(rows, lo, hi)
-      // every feature, drawn here or not: a child may draw any of them
-      sorted.foreach(partition(_, lo, hi))
+      // every feature, drawn here or not: a child may draw any of them; a
+      // leaf reads only `rows`, so children at maxDepth need none
+      if (depth + 1 < maxDepth) sorted.foreach(partition(_, lo, hi))
       Split(bestFeat, bestThr, grow(lo, mid, depth + 1), grow(mid, hi, depth + 1))
     }
   }
