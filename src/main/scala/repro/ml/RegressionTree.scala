@@ -69,7 +69,10 @@ final class RegressionTree(
       var i = lo
       while (i < hi) {
         val j = a(i)
-        if (goLeft(j)) { a(l) = j; l += 1 } else { buf(r) = j; r += 1 }
+        // both writes, then one count moves: no branch on a random bit
+        val left = if (goLeft(j)) 1 else 0
+        a(l) = j; buf(r) = j
+        l += left; r += 1 - left
         i += 1
       }
       System.arraycopy(buf, 0, a, l, r)
@@ -101,11 +104,10 @@ final class RegressionTree(
         val s = sorted(f)
         // prefix sums of y over the sorted order
         var leftSum = 0.0
+        var vHere = x(s(lo))(f)
         var k = 0
         while (k < n - 1) {
-          val j = s(lo + k)
-          leftSum += y(j)
-          val vHere = x(j)(f)
+          leftSum += y(s(lo + k))
           val vNext = x(s(lo + k + 1))(f)
           if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
             val nl = k + 1; val nr = n - nl
@@ -116,6 +118,7 @@ final class RegressionTree(
               bestGain = gain; bestFeat = f; bestThr = (vHere + vNext) / 2.0
             }
           }
+          vHere = vNext
           k += 1
         }
       }
