@@ -1,5 +1,6 @@
 package repro.ml
 
+import java.util.stream.IntStream
 import scala.util.Random
 
 /** CART regression tree with variance-reduction splits — the shared weak
@@ -9,7 +10,11 @@ import scala.util.Random
   * Rows are sorted once per feature for a whole ensemble fit
   * ([[RegressionTree.presort]], SLIQ's presorting: Mehta, Agrawal &
   * Rissanen, EDBT 1996); each split partitions every feature's sorted rows
-  * stably, so each node sees its rows in the presort's order.
+  * stably, so each node sees its rows in the presort's order. A large node
+  * scans its candidate features and partitions its features on the JDK
+  * common pool, one feature per task (SPRINT's parallel attribute lists:
+  * Shafer, Agrawal & Mehta, VLDB 1996), and still picks the split the
+  * sequential scan picks.
   */
 final class RegressionTree(
     val maxDepth: Int = 4,
@@ -58,12 +63,13 @@ final class RegressionTree(
     private val rows = order.rows.clone()
     private val sorted = order.byFeature.map(_.clone())
     private val goLeft = new Array[Boolean](x.length)
-    private val buf = new Array[Int](rows.length)
+    // one per feature, so that features partition at once; the last is rows'
+    private val bufs = Array.fill(sorted.length + 1)(new Array[Int](rows.length))
 
-    /** Stable in-place partition of `a(lo until hi)` by `goLeft`; returns
-      * the end of the left part.
+    /** Stable in-place partition of `a(lo until hi)` by `goLeft`, through
+      * `buf`; returns the end of the left part.
       */
-    private def partition(a: Array[Int], lo: Int, hi: Int): Int = {
+    private def partition(a: Array[Int], lo: Int, hi: Int, buf: Array[Int]): Int = {
       var l = lo
       var r = 0
       var i = lo
@@ -77,6 +83,37 @@ final class RegressionTree(
       }
       System.arraycopy(buf, 0, a, l, r)
       l
+    }
+
+    /** The sequential split scan of feature `f` over the node's sorted rows:
+      * each valid split point whose gain is above the kept gain plus `tol`
+      * is kept, starting from `from`. Returns the last kept (gain,
+      * threshold), or None when none beat `from`.
+      */
+    private def scan(f: Int, lo: Int, hi: Int, sum: Double, from: Double,
+                     tol: Double): Option[(Double, Double)] = {
+      val s = sorted(f)
+      val n = hi - lo
+      var kept = from
+      var thr = 0.0
+      // prefix sums of y over the sorted order
+      var leftSum = 0.0
+      var vHere = x(s(lo))(f)
+      var k = 0
+      while (k < n - 1) {
+        leftSum += y(s(lo + k))
+        val vNext = x(s(lo + k + 1))(f)
+        if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
+          val nl = k + 1; val nr = n - nl
+          val rightSum = sum - leftSum
+          // variance-reduction gain: SSE decrease from splitting at this point
+          val gain = leftSum * leftSum / nl + rightSum * rightSum / nr - sum * sum / n
+          if (gain > kept + tol) { kept = gain; thr = (vHere + vNext) / 2.0 }
+        }
+        vHere = vNext
+        k += 1
+      }
+      if (kept > from) Some((kept, thr)) else None
     }
 
     def grow(lo: Int, hi: Int, depth: Int): Node = {
@@ -97,45 +134,50 @@ final class RegressionTree(
         if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
+      // A large node first finds each candidate's largest gain on all cores.
+      // The sequential scan then skips a feature whose largest gain is not
+      // above best + 1e-12: it could not have replaced the best there, so
+      // the chosen split and its gain are the sequential scan's.
+      val largest = Array.fill(cand.length)(Double.PositiveInfinity)
+      if (isLarge(n, cand.length)) inParallel(cand.length) { c =>
+        largest(c) = scan(cand(c), lo, hi, sum, Double.NegativeInfinity, 0.0)
+          .fold(Double.NegativeInfinity)(_._1)
+      }
       var bestGain = 0.0
       var bestFeat = -1
       var bestThr = 0.0
-      for (f <- cand) {
-        val s = sorted(f)
-        // prefix sums of y over the sorted order
-        var leftSum = 0.0
-        var vHere = x(s(lo))(f)
-        var k = 0
-        while (k < n - 1) {
-          leftSum += y(s(lo + k))
-          val vNext = x(s(lo + k + 1))(f)
-          if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
-            val nl = k + 1; val nr = n - nl
-            val rightSum = sum - leftSum
-            // variance-reduction gain: SSE decrease from splitting at this point
-            val gain = leftSum * leftSum / nl + rightSum * rightSum / nr - sum * sum / n
-            if (gain > bestGain + 1e-12) {
-              bestGain = gain; bestFeat = f; bestThr = (vHere + vNext) / 2.0
-            }
-          }
-          vHere = vNext
-          k += 1
+      for (c <- cand.indices if largest(c) > bestGain + 1e-12)
+        scan(cand(c), lo, hi, sum, bestGain, 1e-12).foreach { case (g, t) =>
+          bestGain = g; bestFeat = cand(c); bestThr = t
         }
-      }
       if (bestFeat < 0) return Leaf(meanHere)
       importanceAcc(bestFeat) += bestGain
       i = lo
       while (i < hi) { val j = rows(i); goLeft(j) = x(j)(bestFeat) <= bestThr; i += 1 }
-      val mid = partition(rows, lo, hi)
+      val mid = partition(rows, lo, hi, bufs(sorted.length))
       // every feature, drawn here or not: a child may draw any of them; a
       // leaf reads only `rows`, so children at maxDepth need none
-      if (depth + 1 < maxDepth) sorted.foreach(partition(_, lo, hi))
+      if (depth + 1 < maxDepth) {
+        val part = (f: Int) => { partition(sorted(f), lo, hi, bufs(f)); () }
+        if (isLarge(n, sorted.length)) inParallel(sorted.length)(part) else sorted.indices.foreach(part)
+      }
       Split(bestFeat, bestThr, grow(lo, mid, depth + 1), grow(mid, hi, depth + 1))
     }
   }
 }
 
 object RegressionTree {
+
+  /** Rows × features of a node's loop below which it runs on one thread:
+    * smaller loops cost more to fork and join than they save.
+    */
+  private[ml] val ParallelFloor = 8192
+
+  private def isLarge(n: Int, features: Int): Boolean = n.toLong * features >= ParallelFloor
+
+  /** `body(i)` for every `i` below `count`, on the JDK common pool. */
+  private def inParallel(count: Int)(body: Int => Unit): Unit =
+    IntStream.range(0, count).parallel().forEach(i => body(i))
 
   sealed trait Node
   final case class Leaf(value: Double) extends Node

@@ -157,6 +157,22 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
     case Split(f, t, l, r) => s"S($f,${java.lang.Double.doubleToRawLongBits(t)},${bits(l)},${bits(r)})"
   }
 
+  /** Whether the presorted tree of `sample` (all rows when None) is the
+    * reference tree, bit for bit, importances included.
+    */
+  private def matchesReference(x: Array[Array[Double]], y: Array[Double], sample: Option[Array[Int]],
+                               maxDepth: Int, minLeaf: Int, featuresPerSplit: Int,
+                               seed: Long): Boolean = {
+    val all = RegressionTree.presort(x)
+    val tree = new RegressionTree(maxDepth, minLeaf, featuresPerSplit)
+      .fit(x, y, new Random(seed), sample.fold(all)(all.sample))
+    val (root, imp) = referenceFit(x, y, new Random(seed), sample.getOrElse(Array.range(0, x.length)),
+      maxDepth, minLeaf, featuresPerSplit)
+    bits(tree.root) == bits(root) &&
+      tree.importances.map(java.lang.Double.doubleToRawLongBits).sameElements(
+        imp.map(java.lang.Double.doubleToRawLongBits))
+  }
+
   test("presorted trees equal trees that re-sort at every node") {
     // few distinct levels per feature, including -0.0 vs 0.0 and two doubles
     // that share a float, so ties and near-ties are common
@@ -179,17 +195,72 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
           if (continuous && rng.nextBoolean()) rng.nextGaussian() else pool(rng.nextInt(levels)))
         val y = Array.fill(n)(rng.nextInt(4).toDouble)
         val sample = sampleKind match {
-          case 0 => Array.range(0, n)
-          case 1 => Array.fill(n)(rng.nextInt(n))
-          case _ => rng.shuffle(Array.range(0, n).toSeq).take(1 + rng.nextInt(n)).toArray
+          case 0 => None
+          case 1 => Some(Array.fill(n)(rng.nextInt(n)))
+          case _ => Some(rng.shuffle(Array.range(0, n).toSeq).take(1 + rng.nextInt(n)).toArray)
         }
-        val all = RegressionTree.presort(x)
-        val tree = new RegressionTree(maxDepth, minLeaf, featuresPerSplit)
-          .fit(x, y, new Random(seed), if (sampleKind == 0) all else all.sample(sample))
-        val (root, imp) = referenceFit(x, y, new Random(seed), sample, maxDepth, minLeaf, featuresPerSplit)
-        bits(tree.root) == bits(root) &&
-          tree.importances.map(java.lang.Double.doubleToRawLongBits).sameElements(
-            imp.map(java.lang.Double.doubleToRawLongBits))
+        matchesReference(x, y, sample, maxDepth, minLeaf, featuresPerSplit, seed)
     }, minSuccessful = 500)
+
+    // Nodes large enough to scan and partition on several threads, with
+    // columns whose gains tie exactly (a duplicate) or differ only in the
+    // last bits (a jittered copy and the negation, summed in another order).
+    val large = for {
+      n <- Gen.choose(900, 2000)
+      nFeat <- Gen.choose(8, 12)
+      bootstrap <- Gen.oneOf(false, true)
+      maxDepth <- Gen.choose(1, 5)
+      minLeaf <- Gen.choose(1, 30)
+      featuresPerSplit <- Gen.oneOf(0, 3)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (n, nFeat, bootstrap, maxDepth, minLeaf, featuresPerSplit, seed)
+    var cases, parallel = 0
+    check(Prop.forAll(large) {
+      case (n, nFeat, bootstrap, maxDepth, minLeaf, featuresPerSplit, seed) =>
+        val rng = new Random(seed)
+        val column = rng.shuffle(Array.range(0, nFeat).toSeq)
+        val x = Array.fill(n) {
+          val d = (rng.nextInt(7) - 3).toDouble
+          val row = new Array[Double](nFeat)
+          row(column(0)) = d
+          row(column(1)) = d + 0.4 * rng.nextDouble() // level gap is 1
+          row(column(2)) = d
+          row(column(3)) = -d
+          for (c <- 4 until nFeat) row(column(c)) = rng.nextGaussian()
+          row
+        }
+        val y = x.map(r => 0.8 * r(column(0)) + r(column(4)) + rng.nextGaussian())
+        val sample = if (bootstrap) Some(Array.fill(n)(rng.nextInt(n))) else None
+        cases += 1
+        // the root scans on several threads when every feature is a
+        // candidate, and partitions on several threads unless its children
+        // are leaves
+        if (n * nFeat >= RegressionTree.ParallelFloor && (featuresPerSplit == 0 || maxDepth >= 2))
+          parallel += 1
+        matchesReference(x, y, sample, maxDepth, minLeaf, featuresPerSplit, seed)
+    }, minSuccessful = 40)
+    assert(parallel * 2 > cases, s"$parallel of $cases cases above the floor")
+  }
+
+  test("ensembles fitted on several threads at once equal a lone fit") {
+    val rng = new Random(31)
+    val x = Array.fill(2000)(Array.fill(10)(rng.nextGaussian()))
+    val y = x.map(r => if (r(0) + 0.5 * r(1) + 0.5 * rng.nextGaussian() > 0) 1.0 else 0.0)
+    // predictions and importances as bits
+    def fitBoth(): Seq[Long] = {
+      val gbm = new GBMClassifier().fit(x, y)
+      val rf = new RandomForest().fit(x, y)
+      (x.take(50).flatMap(r => Seq(gbm.predictProba(r), rf.predictScore(r))) ++ gbm.importances)
+        .map(java.lang.Double.doubleToRawLongBits).toSeq
+    }
+    val lone = fitBoth()
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val results = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Long]]()
+    val threads = Seq.fill(4)(new Thread(() => { start.await(); results.add(fitBoth()); () }))
+    threads.foreach(_.start())
+    start.countDown()
+    threads.foreach(_.join())
+    assert(results.size == 4)
+    results.forEach(r => assert(r == lone))
   }
 }
