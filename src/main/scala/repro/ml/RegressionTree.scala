@@ -39,7 +39,7 @@ final class RegressionTree(
   def fit(x: Array[Array[Double]], y: Array[Double], rng: Random, order: Presorted): this.type = {
     require(x.length == y.length && x.nonEmpty, "tree: empty or mismatched input")
     importanceAcc = new Array[Double](x(0).length)
-    rootOpt = Some(new Grower(x, y, order, rng).grow(0, order.rows.length, 0))
+    rootOpt = Some(new Grower(x, y, order, rng).grow(0, order.rows.length))
     this
   }
 
@@ -65,6 +65,8 @@ final class RegressionTree(
     private val goLeft = new Array[Boolean](x.length)
     // one per feature, so that features partition at once; the last is rows'
     private val bufs = Array.fill(sorted.length + 1)(new Array[Int](rows.length))
+    private val nFeat = sorted.length
+    private val allFeatures = featuresPerSplit <= 0 || featuresPerSplit >= nFeat
 
     /** Stable in-place partition of `a(lo until hi)` by `goLeft`, through
       * `buf`; returns the end of the left part.
@@ -116,33 +118,55 @@ final class RegressionTree(
       if (kept > from) Some((kept, thr)) else None
     }
 
-    def grow(lo: Int, hi: Int, depth: Int): Node = {
-      val n = hi - lo
+    /** Feature `f`'s largest valid split gain in `lo until hi`, or -∞. */
+    private def largestGain(f: Int, lo: Int, hi: Int, sum: Double): Double =
+      scan(f, lo, hi, sum, Double.NegativeInfinity, 0.0).fold(Double.NegativeInfinity)(_._1)
+
+    /** Sum of y over `rows(lo until hi)`, in that order. */
+    private def sumOf(lo: Int, hi: Int): Double = {
       var sum = 0.0
       var i = lo
       while (i < hi) { sum += y(rows(i)); i += 1 }
+      sum
+    }
+
+    /** Whether a node of `n` rows at `depth` would find every feature's
+      * largest gain on several threads: its parent finds them instead,
+      * in the tasks that partition each feature.
+      */
+    private def foundByParent(n: Int, depth: Int): Boolean =
+      allFeatures && depth < maxDepth && n >= 2 * minLeaf && isLarge(n, nFeat)
+
+    def grow(lo: Int, hi: Int): Node = grow(lo, hi, 0, sumOf(lo, hi), null)
+
+    /** The node of `rows(lo until hi)`, whose y sums to `sum`. `found`, when
+      * not null, holds each feature's largest gain in the node.
+      */
+    private def grow(lo: Int, hi: Int, depth: Int, sum: Double, found: Array[Double]): Node = {
+      val n = hi - lo
       val meanHere = sum / n
       if (depth >= maxDepth || n < 2 * minLeaf) return Leaf(meanHere)
 
       var sse = 0.0
-      i = lo
+      var i = lo
       while (i < hi) { val d = y(rows(i)) - meanHere; sse += d * d; i += 1 }
       if (sse <= 1e-12) return Leaf(meanHere)
 
-      val nFeat = x(0).length
       val cand: Array[Int] =
-        if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) Array.range(0, nFeat)
+        if (allFeatures) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
-      // A large node first finds each candidate's largest gain on all cores.
-      // The sequential scan then skips a feature whose largest gain is not
-      // above best + 1e-12: it could not have replaced the best there, so
-      // the chosen split and its gain are the sequential scan's.
-      val largest = Array.fill(cand.length)(Double.PositiveInfinity)
-      if (isLarge(n, cand.length)) inParallel(cand.length) { c =>
-        largest(c) = scan(cand(c), lo, hi, sum, Double.NegativeInfinity, 0.0)
-          .fold(Double.NegativeInfinity)(_._1)
-      }
+      // A large node first has each candidate's largest gain, found on all
+      // cores. The sequential scan then skips a feature whose largest gain
+      // is not above best + 1e-12: it could not have replaced the best
+      // there, so the chosen split and its gain are the sequential scan's.
+      val largest =
+        if (found != null) found
+        else if (isLarge(n, cand.length)) {
+          val a = new Array[Double](cand.length)
+          inParallel(cand.length)(c => a(c) = largestGain(cand(c), lo, hi, sum))
+          a
+        } else Array.fill(cand.length)(Double.PositiveInfinity)
       var bestGain = 0.0
       var bestFeat = -1
       var bestThr = 0.0
@@ -154,14 +178,22 @@ final class RegressionTree(
       importanceAcc(bestFeat) += bestGain
       i = lo
       while (i < hi) { val j = rows(i); goLeft(j) = x(j)(bestFeat) <= bestThr; i += 1 }
-      val mid = partition(rows, lo, hi, bufs(sorted.length))
+      val mid = partition(rows, lo, hi, bufs(nFeat))
+      val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
+      val foundL = if (foundByParent(mid - lo, depth + 1)) new Array[Double](nFeat) else null
+      val foundR = if (foundByParent(hi - mid, depth + 1)) new Array[Double](nFeat) else null
       // every feature, drawn here or not: a child may draw any of them; a
       // leaf reads only `rows`, so children at maxDepth need none
       if (depth + 1 < maxDepth) {
-        val part = (f: Int) => { partition(sorted(f), lo, hi, bufs(f)); () }
-        if (isLarge(n, sorted.length)) inParallel(sorted.length)(part) else sorted.indices.foreach(part)
+        val part = (f: Int) => {
+          partition(sorted(f), lo, hi, bufs(f))
+          if (foundL != null) foundL(f) = largestGain(f, lo, mid, sumL)
+          if (foundR != null) foundR(f) = largestGain(f, mid, hi, sumR)
+        }
+        if (isLarge(n, nFeat)) inParallel(nFeat)(part) else (0 until nFeat).foreach(part)
       }
-      Split(bestFeat, bestThr, grow(lo, mid, depth + 1), grow(mid, hi, depth + 1))
+      Split(bestFeat, bestThr, grow(lo, mid, depth + 1, sumL, foundL),
+        grow(mid, hi, depth + 1, sumR, foundR))
     }
   }
 }
@@ -220,7 +252,8 @@ object RegressionTree {
   def presort(x: Array[Array[Double]]): Presorted = {
     val n = x.length
     val nFeat = if (n == 0) 0 else x(0).length
-    new Presorted(Array.range(0, n), Array.tabulate(nFeat) { f =>
+    val byFeature = new Array[Array[Int]](nFeat)
+    val sortFeature = (f: Int) => {
       val packed = new Array[Long](n)
       var i = 0
       while (i < n) {
@@ -230,8 +263,10 @@ object RegressionTree {
         i += 1
       }
       java.util.Arrays.sort(packed)
-      packed.map(_.toInt)
-    })
+      byFeature(f) = packed.map(_.toInt)
+    }
+    if (isLarge(n, nFeat)) inParallel(nFeat)(sortFeature) else (0 until nFeat).foreach(sortFeature)
+    new Presorted(Array.range(0, n), byFeature)
   }
 
   /** The trees' importances summed feature by feature, tree by tree, then
