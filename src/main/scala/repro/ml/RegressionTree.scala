@@ -62,6 +62,7 @@ final class RegressionTree(
                              rng: Random) {
     private val rows = order.rows.clone()
     private val sorted = order.byFeature.map(_.clone())
+    private val column = order.columns
     private val goLeft = new Array[Boolean](x.length)
     // one per feature, so that features partition at once; the last is rows'
     private val bufs = Array.fill(sorted.length + 1)(new Array[Int](rows.length))
@@ -100,11 +101,12 @@ final class RegressionTree(
       var thr = 0.0
       // prefix sums of y over the sorted order
       var leftSum = 0.0
-      var vHere = x(s(lo))(f)
+      val col = column(f)
+      var vHere = col(s(lo))
       var k = 0
       while (k < n - 1) {
         leftSum += y(s(lo + k))
-        val vNext = x(s(lo + k + 1))(f)
+        val vNext = col(s(lo + k + 1))
         if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
           val nl = k + 1; val nr = n - nl
           val rightSum = sum - leftSum
@@ -156,15 +158,16 @@ final class RegressionTree(
         if (allFeatures) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
-      // A large node first has each candidate's largest gain, found on all
-      // cores. The sequential scan then skips a feature whose largest gain
-      // is not above best + 1e-12: it could not have replaced the best
-      // there, so the chosen split and its gain are the sequential scan's.
+      // Each candidate's largest gain: found by the parent, or here on all
+      // cores for a large node, or +∞ for a small one. The sequential scan
+      // then skips a feature whose largest gain is not above best + 1e-12:
+      // it could not have replaced the best there, so the chosen split and
+      // its gain are the sequential scan's.
       val largest =
         if (found != null) found
         else if (isLarge(n, cand.length)) {
           val a = new Array[Double](cand.length)
-          inParallel(cand.length)(c => a(c) = largestGain(cand(c), lo, hi, sum))
+          forEach(n, cand.length)(c => a(c) = largestGain(cand(c), lo, hi, sum))
           a
         } else Array.fill(cand.length)(Double.PositiveInfinity)
       var bestGain = 0.0
@@ -177,20 +180,18 @@ final class RegressionTree(
       if (bestFeat < 0) return Leaf(meanHere)
       importanceAcc(bestFeat) += bestGain
       i = lo
-      while (i < hi) { val j = rows(i); goLeft(j) = x(j)(bestFeat) <= bestThr; i += 1 }
+      val col = column(bestFeat)
+      while (i < hi) { val j = rows(i); goLeft(j) = col(j) <= bestThr; i += 1 }
       val mid = partition(rows, lo, hi, bufs(nFeat))
       val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
       val foundL = if (foundByParent(mid - lo, depth + 1)) new Array[Double](nFeat) else null
       val foundR = if (foundByParent(hi - mid, depth + 1)) new Array[Double](nFeat) else null
       // every feature, drawn here or not: a child may draw any of them; a
       // leaf reads only `rows`, so children at maxDepth need none
-      if (depth + 1 < maxDepth) {
-        val part = (f: Int) => {
-          partition(sorted(f), lo, hi, bufs(f))
-          if (foundL != null) foundL(f) = largestGain(f, lo, mid, sumL)
-          if (foundR != null) foundR(f) = largestGain(f, mid, hi, sumR)
-        }
-        if (isLarge(n, nFeat)) inParallel(nFeat)(part) else (0 until nFeat).foreach(part)
+      if (depth + 1 < maxDepth) forEach(n, nFeat) { f =>
+        partition(sorted(f), lo, hi, bufs(f))
+        if (foundL != null) foundL(f) = largestGain(f, lo, mid, sumL)
+        if (foundR != null) foundR(f) = largestGain(f, mid, hi, sumR)
       }
       Split(bestFeat, bestThr, grow(lo, mid, depth + 1, sumL, foundL),
         grow(mid, hi, depth + 1, sumR, foundR))
@@ -207,19 +208,25 @@ object RegressionTree {
 
   private def isLarge(n: Int, features: Int): Boolean = n.toLong * features >= ParallelFloor
 
-  /** `body(i)` for every `i` below `count`, on the JDK common pool. */
-  private def inParallel(count: Int)(body: Int => Unit): Unit =
-    IntStream.range(0, count).parallel().forEach(i => body(i))
+  /** `body(i)` for every `i` below `count`: on the JDK common pool when
+    * `n` rows × `count` reach [[ParallelFloor]], else in order.
+    */
+  private def forEach(n: Int, count: Int)(body: Int => Unit): Unit =
+    if (isLarge(n, count)) IntStream.range(0, count).parallel().forEach(i => body(i))
+    else { var i = 0; while (i < count) { body(i); i += 1 } }
 
   sealed trait Node
   final case class Leaf(value: Double) extends Node
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
   /** Training rows in their natural order (ascending index, or bootstrap
-    * draw order), and for each feature the same rows in [[presort]]'s order.
+    * draw order), for each feature the same rows in [[presort]]'s order, and
+    * each feature's values by row index (`x`'s columns, which a split scan
+    * reads in sorted order).
     */
   final class Presorted private[RegressionTree] (
-      private[ml] val rows: Array[Int], private[ml] val byFeature: Array[Array[Int]]) {
+      private[ml] val rows: Array[Int], private[ml] val byFeature: Array[Array[Int]],
+      private[ml] val columns: Array[Array[Double]]) {
 
     /** The presort of the bootstrap or subset `draws` of the rows of this
       * presort of all rows: each feature's order with row `j` repeated as
@@ -236,7 +243,7 @@ object RegressionTree {
           while (c > 0) { out(k) = j; k += 1; c -= 1 }
         }
         out
-      })
+      }, columns)
     }
   }
 
@@ -247,17 +254,20 @@ object RegressionTree {
     * up) before every value whose sign bit is set (-0.0 and below),
     * and orders distinct doubles that round to one float by row index, so
     * the prefix a split scores can differ from the partition its threshold
-    * makes.
+    * makes. Large inputs sort their features on the common pool.
     */
   def presort(x: Array[Array[Double]]): Presorted = {
     val n = x.length
     val nFeat = if (n == 0) 0 else x(0).length
     val byFeature = new Array[Array[Int]](nFeat)
+    val columns = Array.ofDim[Double](nFeat, n)
     val sortFeature = (f: Int) => {
+      val col = columns(f)
       val packed = new Array[Long](n)
       var i = 0
       while (i < n) {
-        val bitsRaw = java.lang.Float.floatToIntBits(x(i)(f).toFloat)
+        col(i) = x(i)(f)
+        val bitsRaw = java.lang.Float.floatToIntBits(col(i).toFloat)
         val bits = if (bitsRaw < 0) ~bitsRaw else bitsRaw ^ 0x80000000
         packed(i) = (bits.toLong << 32) | (i.toLong & 0xffffffffL)
         i += 1
@@ -265,8 +275,8 @@ object RegressionTree {
       java.util.Arrays.sort(packed)
       byFeature(f) = packed.map(_.toInt)
     }
-    if (isLarge(n, nFeat)) inParallel(nFeat)(sortFeature) else (0 until nFeat).foreach(sortFeature)
-    new Presorted(Array.range(0, n), byFeature)
+    forEach(n, nFeat)(sortFeature)
+    new Presorted(Array.range(0, n), byFeature, columns)
   }
 
   /** The trees' importances summed feature by feature, tree by tree, then
