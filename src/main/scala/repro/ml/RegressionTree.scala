@@ -39,7 +39,7 @@ final class RegressionTree(
   def fit(x: Array[Array[Double]], y: Array[Double], rng: Random, order: Presorted): this.type = {
     require(x.length == y.length && x.nonEmpty, "tree: empty or mismatched input")
     importanceAcc = new Array[Double](x(0).length)
-    rootOpt = Some(new Grower(x, y, order, rng).grow(0, order.rows.length))
+    rootOpt = Some(new Grower(y, order, rng).grow(0, order.rows.length))
     this
   }
 
@@ -58,12 +58,11 @@ final class RegressionTree(
     * `rows` (the sample's natural order, which sums run in) and of each
     * feature's sorted rows, partitioned in place at every split.
     */
-  private final class Grower(x: Array[Array[Double]], y: Array[Double], order: Presorted,
-                             rng: Random) {
+  private final class Grower(y: Array[Double], order: Presorted, rng: Random) {
     private val rows = order.rows.clone()
     private val sorted = order.byFeature.map(_.clone())
     private val column = order.columns
-    private val goLeft = new Array[Boolean](x.length)
+    private val goLeft = new Array[Boolean](y.length)
     // one per feature, so that features partition at once; the last is rows'
     private val bufs = Array.fill(sorted.length + 1)(new Array[Int](rows.length))
     private val nFeat = sorted.length
@@ -88,41 +87,64 @@ final class RegressionTree(
       l
     }
 
-    /** The sequential split scan of feature `f` over the node's sorted rows:
-      * each valid split point whose gain is above the kept gain plus `tol`
-      * is kept, starting from `from`. Returns the last kept (gain,
-      * threshold), or None when none beat `from`.
+    /** The SSE decrease from splitting `n` rows that sum to `sum` into the
+      * first `nl`, which sum to `leftSum`, and the rest.
       */
-    private def scan(f: Int, lo: Int, hi: Int, sum: Double, from: Double,
-                     tol: Double): Option[(Double, Double)] = {
+    private def gain(leftSum: Double, nl: Int, n: Int, sum: Double): Double = {
+      val rightSum = sum - leftSum
+      leftSum * leftSum / nl + rightSum * rightSum / (n - nl) - sum * sum / n
+    }
+
+    /** Feature `f`'s largest valid split gain in `lo until hi`, or -∞. */
+    private def largestGain(f: Int, lo: Int, hi: Int, sum: Double): Double = {
       val s = sorted(f)
+      val col = column(f)
       val n = hi - lo
-      var kept = from
-      var thr = 0.0
+      var largest = Double.NegativeInfinity
       // prefix sums of y over the sorted order
       var leftSum = 0.0
-      val col = column(f)
       var vHere = col(s(lo))
       var k = 0
       while (k < n - 1) {
         leftSum += y(s(lo + k))
         val vNext = col(s(lo + k + 1))
         if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
-          val nl = k + 1; val nr = n - nl
-          val rightSum = sum - leftSum
-          // variance-reduction gain: SSE decrease from splitting at this point
-          val gain = leftSum * leftSum / nl + rightSum * rightSum / nr - sum * sum / n
-          if (gain > kept + tol) { kept = gain; thr = (vHere + vNext) / 2.0 }
+          val g = gain(leftSum, k + 1, n, sum)
+          if (g > largest) largest = g
         }
         vHere = vNext
         k += 1
       }
-      if (kept > from) Some((kept, thr)) else None
+      largest
     }
 
-    /** Feature `f`'s largest valid split gain in `lo until hi`, or -∞. */
-    private def largestGain(f: Int, lo: Int, hi: Int, sum: Double): Double =
-      scan(f, lo, hi, sum, Double.NegativeInfinity, 0.0).fold(Double.NegativeInfinity)(_._1)
+    // the split the sequential scan keeps at the node being grown
+    private var bestGain = 0.0
+    private var bestFeat = -1
+    private var bestThr = 0.0
+
+    /** The sequential split scan of feature `f` in `lo until hi`: each
+      * valid split point whose gain is above `bestGain` + 1e-12 becomes the
+      * best.
+      */
+    private def scan(f: Int, lo: Int, hi: Int, sum: Double): Unit = {
+      val s = sorted(f)
+      val col = column(f)
+      val n = hi - lo
+      var leftSum = 0.0
+      var vHere = col(s(lo))
+      var k = 0
+      while (k < n - 1) {
+        leftSum += y(s(lo + k))
+        val vNext = col(s(lo + k + 1))
+        if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
+          val g = gain(leftSum, k + 1, n, sum)
+          if (g > bestGain + 1e-12) { bestGain = g; bestFeat = f; bestThr = (vHere + vNext) / 2.0 }
+        }
+        vHere = vNext
+        k += 1
+      }
+    }
 
     /** Sum of y over `rows(lo until hi)`, in that order. */
     private def sumOf(lo: Int, hi: Int): Double = {
@@ -158,30 +180,32 @@ final class RegressionTree(
         if (allFeatures) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
-      // Each candidate's largest gain: found by the parent, or here on all
-      // cores for a large node, or +∞ for a small one. The sequential scan
-      // then skips a feature whose largest gain is not above best + 1e-12:
-      // it could not have replaced the best there, so the chosen split and
-      // its gain are the sequential scan's.
+      // A large node has each candidate's largest gain, found here on all
+      // cores or by its parent. The sequential scan then skips a feature
+      // whose largest gain is not above best + 1e-12: it could not have
+      // replaced the best there, so the chosen split and its gain are the
+      // sequential scan's. A small node scans every candidate.
       val largest =
         if (found != null) found
         else if (isLarge(n, cand.length)) {
           val a = new Array[Double](cand.length)
           forEach(n, cand.length)(c => a(c) = largestGain(cand(c), lo, hi, sum))
           a
-        } else Array.fill(cand.length)(Double.PositiveInfinity)
-      var bestGain = 0.0
-      var bestFeat = -1
-      var bestThr = 0.0
-      for (c <- cand.indices if largest(c) > bestGain + 1e-12)
-        scan(cand(c), lo, hi, sum, bestGain, 1e-12).foreach { case (g, t) =>
-          bestGain = g; bestFeat = cand(c); bestThr = t
-        }
+        } else null
+      bestGain = 0.0
+      bestFeat = -1
+      var c = 0
+      while (c < cand.length) {
+        if (largest == null || largest(c) > bestGain + 1e-12) scan(cand(c), lo, hi, sum)
+        c += 1
+      }
       if (bestFeat < 0) return Leaf(meanHere)
-      importanceAcc(bestFeat) += bestGain
+      // the children scan into the same fields
+      val (feat, thr) = (bestFeat, bestThr)
+      importanceAcc(feat) += bestGain
       i = lo
-      val col = column(bestFeat)
-      while (i < hi) { val j = rows(i); goLeft(j) = col(j) <= bestThr; i += 1 }
+      val col = column(feat)
+      while (i < hi) { val j = rows(i); goLeft(j) = col(j) <= thr; i += 1 }
       val mid = partition(rows, lo, hi, bufs(nFeat))
       val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
       val foundL = if (foundByParent(mid - lo, depth + 1)) new Array[Double](nFeat) else null
@@ -193,7 +217,7 @@ final class RegressionTree(
         if (foundL != null) foundL(f) = largestGain(f, lo, mid, sumL)
         if (foundR != null) foundR(f) = largestGain(f, mid, hi, sumR)
       }
-      Split(bestFeat, bestThr, grow(lo, mid, depth + 1, sumL, foundL),
+      Split(feat, thr, grow(lo, mid, depth + 1, sumL, foundL),
         grow(mid, hi, depth + 1, sumR, foundR))
     }
   }
