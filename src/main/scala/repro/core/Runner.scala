@@ -41,9 +41,13 @@ object Runner {
                         cfg: ModisConfig = ModisConfig()): Vector[MethodReport] = {
     val lake = lakeByName(spark, lakeName, sf)
     val universal = Universal.build(lake)
+    val full = State.full(universal.layout.width)
+    // s_U is D_U itself: one driver-side evaluation calibrates and gives the Original row
+    val (ids, data) = universal.driverRows(full)
     val task0 = TabularTask.forLake(lake)
-    val task = task0.calibrated(universal.materialize(State.full(universal.layout.width)))
-    val space = new TabularSpace(universal, task)
+    val sU = task0.evaluate(ids, data).getOrElse(
+      throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
+    val task = task0.calibrated(sU)
     val primary = primaryMeasure(lakeName)
     val primaryIdx = task.measureNames.indexOf(primary)
     require(primaryIdx >= 0, s"primary measure $primary not in ${task.measureNames}")
@@ -60,18 +64,15 @@ object Runner {
       MethodReport(name, r.raw, r.rows, r.cols, secs)
     }
 
-    // s_U is D_U itself; the space evaluates it from the driver copy
-    val full = space.evaluate(space.full).getOrElse(
-      throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
-    val original = MethodReport("Original", full.raw, full.rows, full.cols, 0.0)
+    val original = MethodReport("Original", sU.raw, sU.rows, sU.cols, 0.0)
 
     val baselines = Vector(
       { val (df, t) = timed(Metam.run(lake, task, primary)); reportDf("METAM", df, t) },
       { val (df, t) = timed(Metam.runMO(lake, task)); reportDf("METAM-MO", df, t) },
       { val (df, t) = timed(Starmie.run(lake)); reportDf("Starmie", df, t) },
-      { val (df, t) = timed(FeatureSelect.skSFM(universal.materialize(space.full), task))
+      { val (df, t) = timed(FeatureSelect.skSFM(universal.materialize(full), task))
         reportDf("SkSFM", df, t) },
-      { val (df, t) = timed(FeatureSelect.h2o(universal.materialize(space.full), task))
+      { val (df, t) = timed(FeatureSelect.h2o(universal.materialize(full), task))
         reportDf("H2O", df, t) },
     )
 

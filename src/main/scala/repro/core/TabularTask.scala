@@ -36,21 +36,21 @@ final class TabularTask(
 
   def measures: Vector[Measure] = measureNames.map(Measure(_))
 
-  /** Re-create this task with denominators taken from the given dataset
-    * (evaluate once, keep raw "train"/"mse"/"mae").
-    */
-  def calibrated(df: DataFrame): TabularTask = {
-    val r = evaluate(df).getOrElse(
-      throw new IllegalStateException(s"calibration dataset for ${lake.name} unusable"))
+  /** Re-create this task with denominators taken from the given dataset. */
+  def calibrated(df: DataFrame): TabularTask =
+    calibrated(evaluate(df).getOrElse(
+      throw new IllegalStateException(s"calibration dataset for ${lake.name} unusable")))
+
+  /** Re-create this task with an evaluation's raw "train"/"mse"/"mae" as denominators. */
+  def calibrated(sU: EvalResult): TabularTask =
     new TabularTask(lake, modelKind, measureNames,
-      Map("train" -> r.raw("train"), "mse" -> r.raw.getOrElse("mse", 1.0),
-          "mae" -> r.raw.getOrElse("mae", 1.0)))
-  }
+      Map("train" -> sU.raw("train"), "mse" -> sU.raw.getOrElse("mse", 1.0),
+          "mae" -> sU.raw.getOrElse("mae", 1.0)))
 
   /** Evaluate a materialized dataset: collect it in key order and hand it
-    * to the shared evaluation below. Calibration and the baselines come
-    * through here; the search's states and Runner's Original row come
-    * through [[TabularSpace.evaluate]] from the driver copy of D_U.
+    * to the shared evaluation below. The baselines come through here; the
+    * search's states, and Runner's s_U (calibration and the Original row),
+    * are evaluated from the driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
     val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)

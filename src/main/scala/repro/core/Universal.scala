@@ -14,7 +14,7 @@ import repro.util.KMeans1D
   *
   * The search evaluates states from [[driverCopy]], D_U collected into the
   * driver once at build; [[materialize]] stays the Spark reference the
-  * oracle checks.
+  * oracle checks. `df` is not cached: each Spark job over it re-runs the join.
   */
 final case class UniversalTable(
     df: DataFrame,
@@ -130,8 +130,7 @@ object Universal {
     var df = lake.base.df
     for (t <- lake.aux) df = df.join(t.df, Seq(lake.key), "left_outer")
 
-    val attrs = (lake.base.df.columns ++ lake.aux.flatMap(_.df.columns))
-      .distinct.filterNot(c => c == lake.key || c == lake.target).toVector
+    val attrs = lake.featureAttrs.toVector
     val (keys, f) = Frame.collect(df, lake.key, lake.target, attrs)
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate ${lake.key} values")
@@ -156,8 +155,7 @@ object Universal {
     }
 
     val clusterBits = segAttrs.flatMap(a => (0 until clusterings(a).k).map(c => (a, c)))
-    // not forced: the first Spark job over D_U (calibration's collect) fills the cache
-    UniversalTable(df.cache(), lake.key, lake.target, BitLayout(attrs, clusterBits), clusterings,
+    UniversalTable(df, lake.key, lake.target, BitLayout(attrs, clusterBits), clusterings,
       DriverCopy(keys, f.y, cols, ids))
   }
 }

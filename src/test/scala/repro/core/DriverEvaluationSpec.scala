@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.udf
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
 import repro.lake.{DataLake, TabularLake}
@@ -64,6 +65,19 @@ class DriverEvaluationSpec extends SparkSpec {
         val f = fixture()
         f.states.foreach { case (what, s) => assertSame(f, s"$name $what", s) }
       }
+  }
+
+  Seq("mental" -> (() => mental), "avocado" -> (() => avocado)).foreach { case (name, fixture) =>
+    test(s"$name: the searches and the winners' exact evaluations run no Spark job over D_U") {
+      val f = fixture()
+      val boom = udf(() => sys.error("a Spark job ran over D_U"): Boolean).asNondeterministic()
+      val noSpark = f.uni.copy(df = f.uni.df.filter(boom()))
+      intercept[Exception](noSpark.materialize(f.space.full).count())
+      val primaryIdx = f.task.measureNames.indexOf(Runner.primaryMeasure(name))
+      val reports = Runner.modisReports(() => new TabularSpace(noSpark, f.task),
+        ModisConfig(n = 40, eps = 0.2, maxl = 4, bootstrap = 15), primaryIdx)
+      assert(reports.map(_.method) == Vector("ApxMODis", "NOBiMODis", "BiMODis", "DivMODis"))
+    }
   }
 
   test("house: the smallest state is too small to train on both paths") {

@@ -176,7 +176,6 @@ class UniversalSpec extends SparkSpec {
     assert(bits(d.target) == bits(e.target))
     assert(d.attrs.map(bits).toSeq == e.attrs.map(bits).toSeq)
     assert(d.clusterIds.map(_.toSeq).toSeq == e.clusterIds.map(_.toSeq).toSeq)
-    other.df.unpersist()
   }
 
   test("layout cluster bits match the clustering sizes") {
