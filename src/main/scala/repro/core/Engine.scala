@@ -17,7 +17,7 @@ final class ModisEngine(
     pruning: Boolean,
     diversifying: Boolean,
 ) {
-  private val grid = new SkylineGrid(space.measures, cfg.eps, cfg.decisive)
+  private val grid = new SkylineGrid(space.measures, cfg.eps)
   private val rng = new Random(cfg.seed)
   private var prunedCount = 0
   private var explored = 0

@@ -56,10 +56,10 @@ object Pareto {
 }
 
 /** The ε-skyline container: one representative per grid cell, replaced when
-  * a newcomer wins on the decisive measure (procedure UPareto).
+  * a newcomer wins on the decisive measure, the last one (procedure UPareto).
   */
-final class SkylineGrid(measures: Vector[Measure], eps: Double, decisiveIdx0: Int = -1) {
-  val decisiveIdx: Int = if (decisiveIdx0 < 0) measures.length - 1 else decisiveIdx0
+final class SkylineGrid(measures: Vector[Measure], eps: Double) {
+  val decisiveIdx: Int = measures.length - 1
   private val cells = scala.collection.mutable.LinkedHashMap.empty[Vector[Int], (State, Array[Double])]
 
   /** UPareto: reject if any upper bound is violated; otherwise insert or

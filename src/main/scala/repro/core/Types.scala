@@ -42,7 +42,6 @@ final case class BitLayout(attrs: Vector[String], clusters: Vector[(String, Int)
 
   def attrIdx(a: String): Int = attrIdxMap(a)
   def clusterIdx(attr: String, c: Int): Int = clusterIdxMap((attr, c))
-  def isAttrBit(i: Int): Boolean = i < attrs.size
 
   /** Attributes kept by a state. */
   def attrsOf(s: State): Vector[String] = attrs.zipWithIndex.collect { case (a, i) if s(i) => a }
@@ -80,8 +79,6 @@ final case class ModisConfig(
     n: Int = 120,
     eps: Double = 0.1,
     maxl: Int = 6,
-    /** index of the decisive measure p_d; -1 = last (paper default) */
-    decisive: Int = -1,
     /** diversification size k and balance α (DivMODis) */
     k: Int = 8,
     alpha: Double = 0.5,

@@ -30,7 +30,7 @@ trait Valuator {
   * search actually visits (the paper's estimator is likewise trained on the
   * accumulated records). With `bootstrap` ≥ N every valuation is exact.
   */
-final class SurrogateValuator(space: StateSpace, bootstrap: Int = 25) extends Valuator {
+final class SurrogateValuator(space: StateSpace, bootstrap: Int) extends Valuator {
   private val memo = scala.collection.mutable.LinkedHashMap.empty[State, Option[Array[Double]]]
   // exact valuations so far, and the usable ones in order: the MO-GBM's training set
   private var exactCount = 0

@@ -8,6 +8,7 @@ package repro.util
   * pure function of the input values and k.
   */
 object KMeans1D {
+  private val MaxIter = 50 // Lloyd iterations per fit, at most
 
   /** Cluster result: sorted centroids and the split boundaries between
     * consecutive centroids (midpoints). A value belongs to cluster i iff
@@ -27,7 +28,7 @@ object KMeans1D {
   /** Run k-means on the distinct values of `xs` with at most `k` clusters.
     * If there are fewer than `k` distinct values, one cluster per value.
     */
-  def fit(xs: Array[Double], k: Int, maxIter: Int = 50): Clustering = {
+  def fit(xs: Array[Double], k: Int): Clustering = {
     require(k >= 1, "k must be >= 1")
     val distinct = xs.distinct.sorted
     if (distinct.isEmpty) return Clustering(Array(0.0), Array.empty)
@@ -40,7 +41,7 @@ object KMeans1D {
     }.distinct.sorted
     var iter = 0
     var moved = true
-    while (moved && iter < maxIter) {
+    while (moved && iter < MaxIter) {
       val cl = withBoundaries(cents)
       val sums = new Array[Double](cl.k)
       val cnts = new Array[Long](cl.k)

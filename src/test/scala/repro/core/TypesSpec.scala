@@ -17,10 +17,6 @@ class TypesSpec extends AnyFunSuite {
     assert(layout.clusterIdx("s2", 2) == 7)
   }
 
-  test("isAttrBit splits the index space") {
-    assert(layout.isAttrBit(2) && !layout.isAttrBit(3))
-  }
-
   test("segAttrs lists each segment once, in order") {
     assert(layout.segAttrs == Vector("s1", "s2"))
   }
