@@ -7,7 +7,8 @@ import repro.{Oracle, SparkSpec}
 import repro.lake.{DataLake, TabularLake}
 
 /** A state evaluated from D_U's driver copy must give what the Spark
-  * reference path gives: `task.evaluate(uni.materialize(s))`.
+  * reference path gives: `task.evaluate(uni.materialize(s))`. The searches
+  * themselves must run no Spark job over D_U.
   */
 class DriverEvaluationSpec extends SparkSpec {
 
@@ -72,7 +73,8 @@ class DriverEvaluationSpec extends SparkSpec {
       val f = fixture()
       val boom = udf(() => sys.error("a Spark job ran over D_U"): Boolean).asNondeterministic()
       val noSpark = f.uni.copy(df = f.uni.df.filter(boom()))
-      intercept[Exception](noSpark.materialize(f.space.full).count())
+      val e = intercept[Exception](noSpark.materialize(f.space.full).count())
+      assert(e.getMessage.contains("a Spark job ran over D_U"), e.getMessage)
       val primaryIdx = f.task.measureNames.indexOf(Runner.primaryMeasure(name))
       val reports = Runner.modisReports(() => new TabularSpace(noSpark, f.task),
         ModisConfig(n = 40, eps = 0.2, maxl = 4, bootstrap = 15), primaryIdx)
