@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.core.TabularTask
 import repro.ml._
 
@@ -14,47 +12,38 @@ import repro.ml._
   *    a linear model": fit a standardized linear model and keep features
   *    whose |coefficient| is ≥ the mean |coefficient|.
   *
-  * Both output a column-reduced table over all rows — the behaviour the
-  * paper contrasts with MODis (cheaper training, accuracy loss).
+  * Both take s_U, D_U's driver-side Frame, and return the kept attributes in
+  * its column order: a column-reduced table over all rows — the behaviour
+  * the paper contrasts with MODis (cheaper training, accuracy loss).
   */
 object FeatureSelect {
 
-  /** A table's mean-imputed feature matrix, rows in key order. */
-  private def imputedFrame(df: DataFrame, task: TabularTask): Frame = {
-    val (_, f) = Frame.collect(df, task.lake.key, task.lake.target, df.columns.toSeq)
-    f.imputed(f.columnMeans)
-  }
-
-  private def selectColumns(df: DataFrame, task: TabularTask, keep: Seq[String]): DataFrame = {
-    val kept = if (keep.nonEmpty) keep else df.columns
-      .filterNot(c => c == task.lake.key || c == task.lake.target).take(1).toSeq
-    df.select((task.lake.key +: task.lake.target +: kept.toList).map(col): _*)
-  }
-
   /** SkSFM: GBM importances ≥ mean importance. */
-  def skSFM(df: DataFrame, task: TabularTask): DataFrame = {
-    val frame = imputedFrame(df, task)
+  def skSFM(sU: Frame, task: TabularTask): Vector[String] = {
+    val frame = sU.imputed(sU.columnMeans)
     val importances =
       if (task.lake.classification)
         new GBMClassifier(nTrees = 30).fit(frame.x, frame.y).importances
       else
         new GBMRegressor(nTrees = 30).fit(frame.x, frame.y).importances
-    val thr = importances.sum / importances.length
-    val keep = frame.names.indices.collect { case i if importances(i) >= thr => frame.names(i) }
-    selectColumns(df, task, keep)
+    atLeastMean(frame.names, importances)
   }
 
   /** H2O-style: standardized linear-model coefficients ≥ mean |coef|. */
-  def h2o(df: DataFrame, task: TabularTask): DataFrame = {
-    val frame = imputedFrame(df, task)
+  def h2o(sU: Frame, task: TabularTask): Vector[String] = {
+    val frame = sU.imputed(sU.columnMeans)
     val coefs =
       if (task.lake.classification)
         new LogisticRegressionModel().fit(frame.x, frame.y).coefficients
       else
         new RidgeRegression().fit(frame.x, frame.y).coefficients
-    val mags = coefs.map(math.abs)
-    val thr = mags.sum / mags.length
-    val keep = frame.names.indices.collect { case i if mags(i) >= thr => frame.names(i) }
-    selectColumns(df, task, keep)
+    atLeastMean(frame.names, coefs.map(math.abs))
+  }
+
+  /** The names weighing at least the mean weight, in order; else the first name. */
+  private def atLeastMean(names: Vector[String], weights: Array[Double]): Vector[String] = {
+    val thr = weights.sum / weights.length
+    val keep = names.indices.collect { case i if weights(i) >= thr => names(i) }.toVector
+    if (keep.nonEmpty) keep else names.take(1)
   }
 }

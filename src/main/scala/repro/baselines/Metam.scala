@@ -1,61 +1,52 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import repro.core.TabularTask
-import repro.lake.{LakeTable, TabularLake}
+import repro.core.{State, TabularTask, UniversalTable}
+import repro.lake.LakeTable
 
 /** METAM [Galhotra et al., ICDE'23] — goal-oriented data discovery: greedily
   * join the candidate table that most improves a single task utility, until
   * no candidate helps. METAM-MO is the paper's extension folding multiple
   * measures into one linear weighted utility.
   *
-  * Utilities here are the task's *normalized minimized* measures, so
-  * "improves" means the utility value decreases.
+  * The candidates are the lake's key-sharing aux tables. D_U already
+  * left-joins each of them onto the base, so every augmented table is a cut
+  * of D_U's driver copy over all its rows. Utilities are the task's
+  * *normalized minimized* measures, so "improves" means the utility value
+  * decreases.
   */
 object Metam {
 
   /** Single-measure METAM. `utility` is a normalized measure name ("acc",
-    * "f1", "mse", ...). Returns the augmented table.
+    * "f1", "mse", ...). Returns the augmented table's attributes: the base's,
+    * then each joined aux table's in join order.
     */
-  def run(lake: TabularLake, task: TabularTask, utility: String): DataFrame =
-    greedy(lake, task, raw => task.normalize(utility, raw))
+  def run(u: UniversalTable, task: TabularTask, utility: String): Vector[String] =
+    greedy(u, task, raw => task.normalize(utility, raw))
 
-  /** METAM-MO: linear weighted sum of all the task's measures. */
-  def runMO(lake: TabularLake, task: TabularTask,
-            weights: Map[String, Double] = Map.empty): DataFrame =
-    greedy(lake, task, raw =>
-      task.measureNames.map { m =>
-        weights.getOrElse(m, 1.0 / task.measureNames.size) * task.normalize(m, raw)
-      }.sum)
+  /** METAM-MO: equally weighted sum of all the task's measures. */
+  def runMO(u: UniversalTable, task: TabularTask): Vector[String] =
+    greedy(u, task, raw =>
+      task.measureNames.map(m => (1.0 / task.measureNames.size) * task.normalize(m, raw)).sum)
 
-  private def greedy(lake: TabularLake, task: TabularTask,
-                     score: Map[String, Double] => Double): DataFrame = {
-    var current = lake.base.df
-    var currentScore = evalScore(task, current, score)
-      .getOrElse(Double.MaxValue)
-    var remaining: List[LakeTable] =
-      (lake.aux ++ lake.distractors).filter(_.df.columns.contains(lake.key)).toList
-    var improved = true
-    while (improved && remaining.nonEmpty) {
-      improved = false
-      val scored = remaining.flatMap { t =>
-        val joined = current.join(t.df, Seq(lake.key), "left_outer")
-        evalScore(task, joined, score).map(s => (t, joined, s))
-      }
-      if (scored.nonEmpty) {
-        val (best, joined, s) = scored.minBy(_._3)
-        if (s < currentScore - 1e-9) {
-          current = joined
-          currentScore = s
-          remaining = remaining.filterNot(_.name == best.name)
-          improved = true
-        }
+  private def greedy(u: UniversalTable, task: TabularTask,
+                     score: Map[String, Double] => Double): Vector[String] = {
+    val lake = task.lake
+    val everyRow = u.rowIndices(State.full(u.layout.width))
+    def evalScore(attrs: Vector[String]): Option[Double] = {
+      val (ids, frame) = u.cut(attrs, everyRow)
+      task.evaluate(ids, frame).map(r => score(r.raw))
+    }
+    // join the best remaining candidate while it improves the score
+    def grow(current: Vector[String], currentScore: Double, remaining: Seq[LakeTable]): Vector[String] = {
+      val scored = remaining.flatMap(t => evalScore(current ++ lake.attrsOf(t)).map(t -> _))
+      if (scored.isEmpty) current
+      else {
+        val (best, s) = scored.minBy(_._2)
+        if (s < currentScore - 1e-9) grow(current ++ lake.attrsOf(best), s, remaining.filterNot(_ eq best))
+        else current
       }
     }
-    current
+    val base = lake.attrsOf(lake.base)
+    grow(base, evalScore(base).getOrElse(Double.MaxValue), lake.aux)
   }
-
-  private def evalScore(task: TabularTask, df: DataFrame,
-                        score: Map[String, Double] => Double): Option[Double] =
-    task.evaluate(df).map(r => score(r.raw))
 }

@@ -38,28 +38,27 @@ object Starmie {
   }
 
   /** Best column-pair cosine similarity between two tables. */
-  def tableSimilarity(a: DataFrame, b: DataFrame, skip: Set[String]): Double = {
-    val aCols = a.columns.filterNot(skip.contains)
-    val bCols = b.columns.filterNot(skip.contains)
-    if (aCols.isEmpty || bCols.isEmpty) return 0.0
-    val aS = aCols.map(columnSketch(a, _))
-    val bS = bCols.map(columnSketch(b, _))
-    aS.flatMap(sa => bS.map(sb => Stats.cosine(sa, sb))).max
-  }
+  def tableSimilarity(a: DataFrame, b: DataFrame, skip: Set[String]): Double =
+    bestCosine(sketches(a, skip), sketches(b, skip))
 
-  /** Rank candidates by similarity to the base table; join every joinable
-    * candidate with similarity ≥ `threshold`.
+  private def sketches(df: DataFrame, skip: Set[String]): Array[Array[Double]] =
+    df.columns.filterNot(skip.contains).map(columnSketch(df, _))
+
+  private def bestCosine(aS: Array[Array[Double]], bS: Array[Array[Double]]): Double =
+    if (aS.isEmpty || bS.isEmpty) 0.0 else aS.flatMap(sa => bS.map(sb => Stats.cosine(sa, sb))).max
+
+  /** Rank candidates by similarity to the base table, sketched once; join
+    * every joinable candidate with similarity ≥ `threshold`. Returns the
+    * joined table's attributes: the base's, then each joined table's in
+    * join order.
     */
-  def run(lake: TabularLake, threshold: Double = 0.5): DataFrame = {
+  def run(lake: TabularLake, threshold: Double = 0.5): Vector[String] = {
     val skip = Set(lake.key, lake.target)
+    val base = sketches(lake.base.df, skip)
     val ranked: Seq[(LakeTable, Double)] =
-      (lake.aux ++ lake.distractors).map { t =>
-        t -> tableSimilarity(lake.base.df, t.df, skip)
-      }.sortBy(-_._2)
-    ranked.foldLeft(lake.base.df) { case (acc, (t, sim)) =>
-      if (sim >= threshold && t.df.columns.contains(lake.key))
-        acc.join(t.df, Seq(lake.key), "left_outer")
-      else acc
+      (lake.aux ++ lake.distractors).map(t => t -> bestCosine(base, sketches(t.df, skip))).sortBy(-_._2)
+    lake.attrsOf(lake.base) ++ ranked.flatMap { case (t, sim) =>
+      if (sim >= threshold && t.df.columns.contains(lake.key)) lake.attrsOf(t) else Nil
     }
   }
 }

@@ -41,9 +41,9 @@ object Runner {
                         cfg: ModisConfig = ModisConfig()): Vector[MethodReport] = {
     val lake = lakeByName(spark, lakeName, sf)
     val universal = Universal.build(lake)
-    val full = State.full(universal.layout.width)
+    val everyRow = universal.rowIndices(State.full(universal.layout.width))
     // s_U is D_U itself: one driver-side evaluation calibrates and gives the Original row
-    val (ids, data) = universal.driverRows(full)
+    val (ids, data) = universal.cut(universal.layout.attrs, everyRow)
     val task0 = TabularTask.forLake(lake)
     val sU = task0.evaluate(ids, data).getOrElse(
       throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
@@ -52,14 +52,13 @@ object Runner {
     val primaryIdx = task.measureNames.indexOf(primary)
     require(primaryIdx >= 0, s"primary measure $primary not in ${task.measureNames}")
 
-    def timed[A](f: => A): (A, Double) = {
+    // each baseline outputs attributes of D_U over all its rows, cut from the driver copy
+    def report(name: String, baseline: => Vector[String]): MethodReport = {
       val t0 = System.nanoTime()
-      val a = f
-      (a, (System.nanoTime() - t0) / 1e9)
-    }
-
-    def reportDf(name: String, df: org.apache.spark.sql.DataFrame, secs: Double): MethodReport = {
-      val r = task.evaluate(df).getOrElse(
+      val attrs = baseline
+      val secs = (System.nanoTime() - t0) / 1e9
+      val (keys, frame) = universal.cut(attrs, everyRow)
+      val r = task.evaluate(keys, frame).getOrElse(
         throw new IllegalStateException(s"$name produced an unusable table for $lakeName"))
       MethodReport(name, r.raw, r.rows, r.cols, secs)
     }
@@ -67,13 +66,11 @@ object Runner {
     val original = MethodReport("Original", sU.raw, sU.rows, sU.cols, 0.0)
 
     val baselines = Vector(
-      { val (df, t) = timed(Metam.run(lake, task, primary)); reportDf("METAM", df, t) },
-      { val (df, t) = timed(Metam.runMO(lake, task)); reportDf("METAM-MO", df, t) },
-      { val (df, t) = timed(Starmie.run(lake)); reportDf("Starmie", df, t) },
-      { val (df, t) = timed(FeatureSelect.skSFM(universal.materialize(full), task))
-        reportDf("SkSFM", df, t) },
-      { val (df, t) = timed(FeatureSelect.h2o(universal.materialize(full), task))
-        reportDf("H2O", df, t) },
+      report("METAM", Metam.run(universal, task, primary)),
+      report("METAM-MO", Metam.runMO(universal, task)),
+      report("Starmie", Starmie.run(lake)),
+      report("SkSFM", FeatureSelect.skSFM(data, task)),
+      report("H2O", FeatureSelect.h2o(data, task)),
     )
 
     val modis = modisReports(() => new TabularSpace(universal, task), cfg, primaryIdx)

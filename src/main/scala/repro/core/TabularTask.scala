@@ -47,10 +47,11 @@ final class TabularTask(
       Map("train" -> sU.raw("train"), "mse" -> sU.raw.getOrElse("mse", 1.0),
           "mae" -> sU.raw.getOrElse("mae", 1.0)))
 
-  /** Evaluate a materialized dataset: collect it in key order and hand it
-    * to the shared evaluation below. The baselines come through here; the
-    * search's states, and Runner's s_U (calibration and the Original row),
-    * are evaluated from the driver copy of D_U.
+  /** Evaluate a Spark table: collect it in key order and hand it to the
+    * shared evaluation below. This is the Spark entry the benchmark and the
+    * tests use; the program itself cuts every dataset it evaluates (the
+    * search's states, Runner's s_U and the baselines' outputs) from the
+    * driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
     val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)

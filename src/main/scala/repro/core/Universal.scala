@@ -12,9 +12,10 @@ import repro.util.KMeans1D
   * as hidden `__cl_<attr>` columns so reduct literals become cheap cluster
   * filters.
   *
-  * The search evaluates states from [[driverCopy]], D_U collected into the
-  * driver once at build; [[materialize]] stays the Spark reference the
-  * oracle checks. `df` is not cached: each Spark job over it re-runs the join.
+  * The search's states and the baselines' outputs are cut from
+  * [[driverCopy]], D_U collected into the driver once at build;
+  * [[materialize]] stays the Spark reference the oracle checks. `df` is
+  * not cached: each Spark job over it re-runs the join.
   */
 final case class UniversalTable(
     df: DataFrame,
@@ -93,16 +94,20 @@ final case class UniversalTable(
     java.util.Arrays.copyOf(out, m)
   }
 
-  /** A state's dataset from [[driverCopy]], as `Frame.collect` gives it for
-    * `materialize(s)`: the keys, and the target and kept attributes in key
-    * order. Runs no Spark job.
+  /** The listed attributes of the given rows of [[driverCopy]], as
+    * `Frame.collect` gives them for a table of exactly those rows and
+    * columns: the keys, and the target and attributes in list order. Runs
+    * no Spark job.
     */
-  def driverRows(s: State): (Array[Long], Frame) = {
-    val attrs = layout.attrsOf(s)
+  def cut(attrs: Seq[String], rows: Array[Int]): (Array[Long], Frame) = {
     val cols = attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray
-    val rows = rowIndices(s)
-    (rows.map(driverCopy.keys), Frame(attrs, rows.map(r => cols.map(_(r))), rows.map(driverCopy.target)))
+    (rows.map(driverCopy.keys), Frame(attrs.toVector, rows.map(r => cols.map(_(r))), rows.map(driverCopy.target)))
   }
+
+  /** A state's dataset from [[driverCopy]], as `Frame.collect` gives it for
+    * `materialize(s)`.
+    */
+  def driverRows(s: State): (Array[Long], Frame) = cut(layout.attrsOf(s), rowIndices(s))
 }
 
 /** D_U collected into the driver, one array per column, rows in key order:

@@ -28,8 +28,11 @@ final case class TabularLake(
     noiseAttrs: Set[String],
 ) {
   def allSources: Seq[LakeTable] = base +: aux
-  def featureAttrs: Seq[String] =
-    allSources.flatMap(_.df.columns).distinct.filterNot(c => c == key || c == target)
+  def featureAttrs: Seq[String] = allSources.flatMap(attrsOf).distinct
+
+  /** A table's columns other than the key and the target, in table order. */
+  def attrsOf(t: LakeTable): Vector[String] =
+    t.df.columns.filterNot(c => c == key || c == target).toVector
 }
 
 /** Deterministic generators for the five task lakes (T1–T4 tabular; T5 is
@@ -49,10 +52,12 @@ object DataLake {
       /** clusters of segment attr 0 that carry heavy label noise */
       noisySegs: Set[Int],
       classification: Boolean,
-      flipProb: Double = 0.45,
-      noiseSigma: Double = 3.0,
       seed: Long = 42,
   )
+
+  // label noise in the noisy segment clusters: class flip chance, regression noise sd
+  private val FlipProb = 0.45
+  private val NoiseSigma = 3.0
 
   /** T1 — Kaggle "movie gross" regression (GBM model). */
   def movie(spark: SparkSession, sf: Double = 0.01): TabularLake =
@@ -114,10 +119,10 @@ object DataLake {
       val noisy = p.noisySegs.contains(segQCluster(i))
       if (p.classification) {
         val clean = if (score(i) + rng.nextGaussian() * 0.3 > 0) 1.0 else 0.0
-        if (noisy && rng.nextDouble() < p.flipProb) 1.0 - clean else clean
+        if (noisy && rng.nextDouble() < FlipProb) 1.0 - clean else clean
       } else {
         score(i) + rng.nextGaussian() * 0.3 +
-          (if (noisy) rng.nextGaussian() * p.noiseSigma else 0.0)
+          (if (noisy) rng.nextGaussian() * NoiseSigma else 0.0)
       }
     }
 

@@ -65,13 +65,15 @@ object Metrics {
     1.0 - yTrue.indices.map(i => { val d = yTrue(i) - yPred(i); d * d }).sum / ssTot
   }
 
+  private val RegressionTol = 0.5
+
   /** Regression "accuracy" (used for the paper's p_Acc on regression tasks
-    * T1): fraction of predictions within `tol` standard deviations of the
-    * truth — a within-tolerance hit rate.
+    * T1): fraction of predictions within [[RegressionTol]] standard
+    * deviations of the truth — a within-tolerance hit rate.
     */
-  def regressionAccuracy(yTrue: Array[Double], yPred: Array[Double], tol: Double = 0.5): Double = {
+  def regressionAccuracy(yTrue: Array[Double], yPred: Array[Double]): Double = {
     val sd = math.sqrt(Stats.variance(yTrue)).max(1e-9)
-    yTrue.indices.count(i => math.abs(yTrue(i) - yPred(i)) <= tol * sd).toDouble / yTrue.length
+    yTrue.indices.count(i => math.abs(yTrue(i) - yPred(i)) <= RegressionTol * sd).toDouble / yTrue.length
   }
 
   // ---- ranking (T5) ----------------------------------------------------
@@ -130,10 +132,12 @@ object Metrics {
     acc / d
   }
 
+  private val MiBins = 5
+
   /** Mean mutual information (nats) between each feature (quantile-binned
-    * into `bins`) and the binary label.
+    * into [[MiBins]]) and the binary label.
     */
-  def mutualInformation(x: Array[Array[Double]], y: Array[Double], bins: Int = 5): Double = {
+  def mutualInformation(x: Array[Array[Double]], y: Array[Double]): Double = {
     if (x.isEmpty || x(0).isEmpty) return 0.0
     val d = x(0).length
     val n = x.length
@@ -142,7 +146,7 @@ object Metrics {
     while (j < d) {
       val col = x.map(_(j))
       val sorted = col.sorted
-      val cuts = (1 until bins).map(b => sorted((b * n / bins).min(n - 1))).distinct.toArray
+      val cuts = (1 until MiBins).map(b => sorted((b * n / MiBins).min(n - 1))).distinct.toArray
       def bin(v: Double): Int = { var i = 0; while (i < cuts.length && v > cuts(i)) i += 1; i }
       val joint = collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
       val pb = collection.mutable.Map.empty[Int, Int].withDefaultValue(0)

@@ -20,21 +20,20 @@ class BaselineOutputSpec extends SparkSpec {
     val lake: TabularLake = Runner.lakeByName(spark, name, 0.01)
     val uni: UniversalTable = Universal.build(lake)
     private val full = State.full(uni.layout.width)
+    private val everyRow = uni.rowIndices(full)
+    private val (ids, sU) = uni.cut(uni.layout.attrs, everyRow)
     private val task0 = TabularTask.forLake(lake)
-    val task: TabularTask = {
-      val (ids, sU) = uni.driverRows(full)
-      task0.calibrated(task0.evaluate(ids, sU).get)
-    }
-
-    private def attrsOf(df: DataFrame): Vector[String] =
-      df.columns.filterNot(c => c == lake.key || c == lake.target).toVector
+    val task: TabularTask = task0.calibrated(task0.evaluate(ids, sU).get)
 
     lazy val lists: Map[String, Vector[String]] = Map(
-      "METAM" -> attrsOf(Metam.run(lake, task, Runner.primaryMeasure(name))),
-      "METAM-MO" -> attrsOf(Metam.runMO(lake, task)),
-      "Starmie" -> attrsOf(Starmie.run(lake)),
-      "SkSFM" -> attrsOf(FeatureSelect.skSFM(uni.materialize(full), task)),
-      "H2O" -> attrsOf(FeatureSelect.h2o(uni.materialize(full), task)))
+      "METAM" -> Metam.run(uni, task, Runner.primaryMeasure(name)),
+      "METAM-MO" -> Metam.runMO(uni, task),
+      "Starmie" -> Starmie.run(lake),
+      "SkSFM" -> FeatureSelect.skSFM(sU, task),
+      "H2O" -> FeatureSelect.h2o(sU, task))
+
+    /** The listed attributes over every row of D_U's driver copy. */
+    def cut(attrs: Vector[String]): (Array[Long], Frame) = uni.cut(attrs, everyRow)
 
     /** The baseline's output as Spark builds it: the base left-joined with
       * the aux tables the list draws on, in the list's order (METAM,
@@ -47,13 +46,6 @@ class BaselineOutputSpec extends SparkSpec {
         val joined = lake.aux.filter(t => t.df.columns.exists(attrs.contains))
           .sortBy(t => attrs.indexWhere(t.df.columns.contains))
         joined.foldLeft(lake.base.df)((acc, t) => acc.join(t.df, Seq(lake.key), "left_outer"))
-    }
-
-    /** The listed attributes over every row of D_U's driver copy. */
-    def cut(attrs: Vector[String]): (Array[Long], Frame) = {
-      val d = uni.driverCopy
-      val cols = attrs.map(a => d.attrs(uni.layout.attrIdx(a)))
-      (d.keys, Frame(attrs, d.keys.indices.map(r => cols.map(_(r)).toArray).toArray, d.target))
     }
   }
 

@@ -1,56 +1,66 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{State, TabularTask, Universal}
+import repro.core.{EvalResult, State, TabularTask, Universal, UniversalTable}
 import repro.lake.DataLake
+
+/** Evaluation of a baseline's output: its attributes cut from D_U's driver
+  * copy over all rows, as Runner reports it.
+  */
+private object Cut {
+  def rows(uni: UniversalTable, attrs: Seq[String]): Array[Long] =
+    uni.cut(attrs, uni.rowIndices(State.full(uni.layout.width)))._1
+
+  def evaluate(uni: UniversalTable, task: TabularTask, attrs: Seq[String]): Option[EvalResult] = {
+    val (ids, frame) = uni.cut(attrs, uni.rowIndices(State.full(uni.layout.width)))
+    task.evaluate(ids, frame)
+  }
+}
 
 class MetamSpec extends SparkSpec {
 
   private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
 
   test("METAM output contains the base columns") {
-    val out = Metam.run(lake, task, "f1")
-    assert(lake.base.df.columns.forall(out.columns.contains))
+    val out = Metam.run(uni, task, "f1")
+    assert(lake.attrsOf(lake.base).forall(out.contains))
   }
 
   test("METAM output preserves the base row count (left joins)") {
-    val out = Metam.run(lake, task, "f1")
-    assert(out.count() == lake.base.df.count())
+    val out = Metam.run(uni, task, "f1")
+    assert(Cut.rows(uni, out).length == lake.base.df.count())
   }
 
   test("METAM output is evaluable") {
-    val out = Metam.run(lake, task, "f1")
-    assert(task.evaluate(out).isDefined)
+    val out = Metam.run(uni, task, "f1")
+    assert(Cut.evaluate(uni, task, out).isDefined)
   }
 
   test("METAM never joins non-joinable distractors") {
-    val out = Metam.run(lake, task, "f1")
+    val out = Metam.run(uni, task, "f1")
     val distractorCols = lake.distractors.flatMap(_.df.columns).filterNot(_ == "code").toSet
-    assert(out.columns.toSet.intersect(distractorCols).isEmpty)
+    assert(out.toSet.intersect(distractorCols).isEmpty)
   }
 
   test("METAM utility improves or stays equal vs base-only") {
-    val out = Metam.run(lake, task, "f1")
-    val baseF1 = task.evaluate(lake.base.df).get.raw("f1")
-    val outF1 = task.evaluate(out).get.raw("f1")
+    val out = Metam.run(uni, task, "f1")
+    val baseF1 = Cut.evaluate(uni, task, lake.attrsOf(lake.base)).get.raw("f1")
+    val outF1 = Cut.evaluate(uni, task, out).get.raw("f1")
     assert(outF1 >= baseF1 - 0.05, s"out=$outF1 base=$baseF1")
   }
 
   test("METAM-MO runs and is evaluable") {
-    val out = Metam.runMO(lake, task)
-    assert(task.evaluate(out).isDefined)
-  }
-
-  test("METAM-MO honors explicit weights") {
-    val out = Metam.runMO(lake, task, Map("train" -> 1.0))
-    assert(task.evaluate(out).isDefined)
+    val out = Metam.runMO(uni, task)
+    assert(Cut.evaluate(uni, task, out).isDefined)
   }
 }
 
 class StarmieSpec extends SparkSpec {
 
   private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val uni = Universal.build(lake)
 
   test("column sketch has histogram + moment entries") {
     val s = Starmie.columnSketch(lake.base.df, "seg_quality")
@@ -73,19 +83,19 @@ class StarmieSpec extends SparkSpec {
 
   test("run augments the base with similar joinable tables") {
     val out = Starmie.run(lake)
-    assert(out.columns.length > lake.base.df.columns.length)
-    assert(out.count() == lake.base.df.count())
+    assert(out.length > lake.attrsOf(lake.base).length)
+    assert(Cut.rows(uni, out).length == lake.base.df.count())
   }
 
   test("run with an impossible threshold returns the base unchanged") {
     val out = Starmie.run(lake, threshold = 2.0)
-    assert(out.columns.toSeq == lake.base.df.columns.toSeq)
+    assert(out == lake.attrsOf(lake.base))
   }
 
   test("run never joins on a missing key") {
     val out = Starmie.run(lake, threshold = 0.0)
     val distractorCols = lake.distractors.flatMap(_.df.columns).filterNot(_ == "code").toSet
-    assert(out.columns.toSet.intersect(distractorCols).isEmpty)
+    assert(out.toSet.intersect(distractorCols).isEmpty)
   }
 }
 
@@ -94,49 +104,48 @@ class FeatureSelectSpec extends SparkSpec {
   private lazy val lake = DataLake.house(spark, sf = 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
-  private lazy val fullDf = uni.materialize(State.full(uni.layout.width))
+  private lazy val sU = uni.driverRows(State.full(uni.layout.width))._2
 
   test("SkSFM reduces the column count") {
-    val out = FeatureSelect.skSFM(fullDf, task)
-    assert(out.columns.length < fullDf.columns.length)
-    assert(out.columns.contains("id") && out.columns.contains("target"))
+    val out = FeatureSelect.skSFM(sU, task)
+    assert(out.length < sU.nCols)
+    assert(out.forall(sU.names.contains))
   }
 
   test("SkSFM keeps all rows") {
-    val out = FeatureSelect.skSFM(fullDf, task)
-    assert(out.count() == fullDf.count())
+    val out = FeatureSelect.skSFM(sU, task)
+    assert(Cut.rows(uni, out).length == uni.df.count())
   }
 
   test("SkSFM output is evaluable") {
-    assert(task.evaluate(FeatureSelect.skSFM(fullDf, task)).isDefined)
+    assert(Cut.evaluate(uni, task, FeatureSelect.skSFM(sU, task)).isDefined)
   }
 
   test("SkSFM retains some informative features and not everything") {
     // at SF=0.01 (200 rows, ~18% flipped labels) importance estimates are
     // noisy — require signal retention, not a clean noise/informative split
-    val out = FeatureSelect.skSFM(fullDf, task)
-    val kept = out.columns.filterNot(c => c == "id" || c == "target")
+    val kept = FeatureSelect.skSFM(sU, task)
     val informativeKept = kept.count(c => lake.informativeAttrs.contains(c))
-    assert(informativeKept >= 1, s"kept=${kept.toSeq}")
-    assert(kept.length < fullDf.columns.length - 2)
+    assert(informativeKept >= 1, s"kept=$kept")
+    assert(kept.length < sU.nCols)
   }
 
   test("H2O reduces the column count and keeps rows") {
-    val out = FeatureSelect.h2o(fullDf, task)
-    assert(out.columns.length < fullDf.columns.length)
-    assert(out.count() == fullDf.count())
+    val out = FeatureSelect.h2o(sU, task)
+    assert(out.length < sU.nCols)
+    assert(Cut.rows(uni, out).length == uni.df.count())
   }
 
   test("H2O output is evaluable") {
-    assert(task.evaluate(FeatureSelect.h2o(fullDf, task)).isDefined)
+    assert(Cut.evaluate(uni, task, FeatureSelect.h2o(sU, task)).isDefined)
   }
 
   test("regression variants work (avocado lake)") {
     val rl = DataLake.avocado(spark, sf = 0.01)
     val ru = Universal.build(rl)
     val rt = TabularTask.forLake(rl)
-    val rdf = ru.materialize(State.full(ru.layout.width))
-    assert(rt.evaluate(FeatureSelect.skSFM(rdf, rt)).isDefined)
-    assert(rt.evaluate(FeatureSelect.h2o(rdf, rt)).isDefined)
+    val rsU = ru.driverRows(State.full(ru.layout.width))._2
+    assert(Cut.evaluate(ru, rt, FeatureSelect.skSFM(rsU, rt)).isDefined)
+    assert(Cut.evaluate(ru, rt, FeatureSelect.h2o(rsU, rt)).isDefined)
   }
 }

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 
-class RunnerSpec extends AnyFunSuite {
+class RunnerSpec extends SparkSpec {
 
   /** [[SyntheticSpace]] whose states are usable only on their first
     * evaluation: the search sees a skyline, the post-search exact
@@ -26,5 +26,30 @@ class RunnerSpec extends AnyFunSuite {
         ModisConfig(n = 20, eps = 0.2, bootstrap = Int.MaxValue), primaryIdx = 0)
     }
     assert(e.getMessage.contains("ApxMODis"), e.getMessage)
+  }
+
+  private val cfg = ModisConfig(n = 30, eps = 0.2, maxl = 4, bootstrap = 10)
+
+  Seq("house", "avocado").foreach { name =>
+    test(s"$name: tabularComparison reports Original, the five baselines and four MODis variants") {
+      val reports = Runner.tabularComparison(spark, name, 0.01, cfg)
+      assert(reports.map(_.method) == Vector("Original", "METAM", "METAM-MO", "Starmie",
+        "SkSFM", "H2O", "ApxMODis", "NOBiMODis", "BiMODis", "DivMODis"))
+
+      // Original is s_U evaluated from the driver copy, apart from the wall-clock train time
+      val lake = Runner.lakeByName(spark, name, 0.01)
+      val uni = Universal.build(lake)
+      val (ids, sU) = uni.driverRows(State.full(uni.layout.width))
+      val ref = TabularTask.forLake(lake).evaluate(ids, sU).get
+      val original = reports.head
+      assert(original.raw - "train" == ref.raw - "train")
+      assert((original.rows.toInt, original.cols) == (ref.rows, ref.cols))
+
+      // every baseline keeps all of D_U's rows and a subset of its columns
+      reports.slice(1, 6).foreach { r =>
+        assert(r.rows == original.rows && r.cols <= original.cols,
+          s"${r.method}: (${r.rows},${r.cols}) vs original (${original.rows},${original.cols})")
+      }
+    }
   }
 }
