@@ -96,8 +96,8 @@ final case class UniversalTable(
 
   /** The listed attributes of the given rows of [[driverCopy]], as
     * `Frame.collect` gives them for a table of exactly those rows and
-    * columns: the keys, and the target and attributes in list order. Runs
-    * no Spark job.
+    * columns when `rows` is increasing (key order): the keys, and the
+    * target and attributes in list order. Runs no Spark job.
     */
   def cut(attrs: Seq[String], rows: Array[Int]): (Array[Long], Frame) = {
     val cols = attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray
