@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.lake.{LakeTable, TabularLake}
+import repro.ml.Frame
 import repro.util.Stats
 
 /** Starmie [Fan et al., VLDB'23] stand-in — table-union/join search by
@@ -18,9 +18,8 @@ object Starmie {
 
   val Bins = 10
 
-  /** Sketch of one column: normalized quantile histogram ++ scaled moments. */
-  def columnSketch(df: DataFrame, column: String): Array[Double] = {
-    val vals = df.select(col(column).cast("double")).na.drop().collect().map(_.getDouble(0))
+  /** Sketch of one column's values: normalized quantile histogram ++ scaled moments. */
+  def columnSketch(vals: Array[Double]): Array[Double] = {
     if (vals.isEmpty) return new Array[Double](Bins + 2)
     val sorted = vals.sorted
     def q(p: Double): Double = sorted(((sorted.length - 1) * p).toInt)
@@ -41,8 +40,15 @@ object Starmie {
   def tableSimilarity(a: DataFrame, b: DataFrame, skip: Set[String]): Double =
     bestCosine(sketches(a, skip), sketches(b, skip))
 
-  private def sketches(df: DataFrame, skip: Set[String]): Array[Array[Double]] =
-    df.columns.filterNot(skip.contains).map(columnSketch(df, _))
+  /** Each column's sketch but `skip`'s, from one collect of the table: cells
+    * read as [[Frame]] reads them (null as NaN), NaN dropped per column.
+    */
+  private def sketches(df: DataFrame, skip: Set[String]): Array[Array[Double]] = {
+    val rows = df.collect()
+    df.columns.zipWithIndex.collect { case (c, j) if !skip.contains(c) =>
+      columnSketch(rows.map(Frame.doubleAt(_, j)).filterNot(_.isNaN))
+    }
+  }
 
   private def bestCosine(aS: Array[Array[Double]], bS: Array[Array[Double]]): Double =
     if (aS.isEmpty || bS.isEmpty) 0.0 else aS.flatMap(sa => bS.map(sb => Stats.cosine(sa, sb))).max

@@ -61,7 +61,7 @@ object Frame {
   }
 
   /** Cell `i` of a collected row as a Double, null as NaN. */
-  private def doubleAt(r: Row, i: Int): Double = r.get(i) match {
+  private[repro] def doubleAt(r: Row, i: Int): Double = r.get(i) match {
     case null                 => Double.NaN
     case d: Double            => d
     case f: Float             => f.toDouble

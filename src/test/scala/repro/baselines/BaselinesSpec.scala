@@ -1,8 +1,10 @@
 package repro.baselines
 
+import org.apache.spark.sql.functions.udf
 import repro.SparkSpec
 import repro.core.{EvalResult, State, TabularTask, Universal, UniversalTable}
-import repro.lake.DataLake
+import repro.lake.{DataLake, LakeTable}
+import repro.ml.Frame
 
 /** Evaluation of a baseline's output: its attributes cut from D_U's driver
   * copy over all rows, as Runner reports it.
@@ -63,15 +65,29 @@ class StarmieSpec extends SparkSpec {
   private lazy val uni = Universal.build(lake)
 
   test("column sketch has histogram + moment entries") {
-    val s = Starmie.columnSketch(lake.base.df, "seg_quality")
+    val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality"))._2.x.map(_(0))
+    val s = Starmie.columnSketch(vals)
     assert(s.length == Starmie.Bins + 2)
     assert(math.abs(s.take(Starmie.Bins).sum - 1.0) < 1e-6)
   }
 
   test("sketch of an empty column is all zeros") {
-    val empty = lake.base.df.filter("id < 0")
-    val s = Starmie.columnSketch(empty, "seg_quality")
+    val s = Starmie.columnSketch(Array.empty[Double])
     assert(s.forall(_ == 0.0))
+  }
+
+  test("run reads each lake table's rows exactly once") {
+    val tables = lake.base +: (lake.aux ++ lake.distractors)
+    assert(tables.map(_.name).distinct.size == tables.size)
+    val reads = tables.map(t => t.name -> spark.sparkContext.longAccumulator(t.name)).toMap
+    def counted(t: LakeTable): LakeTable = {
+      val acc = reads(t.name)
+      val read = udf { () => acc.add(1); true }.asNondeterministic()
+      t.copy(df = t.df.filter(read()))
+    }
+    Starmie.run(lake.copy(base = counted(lake.base), aux = lake.aux.map(counted),
+      distractors = lake.distractors.map(counted)))
+    tables.foreach(t => assert(reads(t.name).value == t.df.count(), t.name))
   }
 
   test("similar columns score higher than dissimilar ones") {
