@@ -95,12 +95,22 @@ final class RegressionTree(
       leftSum * leftSum / nl + rightSum * rightSum / (n - nl) - sum * sum / n
     }
 
-    /** Feature `f`'s largest valid split gain in `lo until hi`, or -∞. */
-    private def largestGain(f: Int, lo: Int, hi: Int, sum: Double): Double = {
+    // each feature's last record in its last scan, as an offset k into the
+    // node's sorted rows: the threshold lies between the values at k and k + 1
+    private val recordAt = new Array[Int](nFeat)
+
+    /** The split scan of feature `f` in `lo until hi`, the one loop over
+      * split points. Starting from a record of `from`, each valid split
+      * point whose gain is above the record + 1e-12 becomes the record, kept
+      * in `recordAt(f)` (-1 when none does). Returns the last record:
+      * `from` when no split point beat it.
+      */
+    private def scan(f: Int, lo: Int, hi: Int, sum: Double, from: Double): Double = {
       val s = sorted(f)
       val col = column(f)
       val n = hi - lo
-      var largest = Double.NegativeInfinity
+      var record = from
+      var at = -1
       // prefix sums of y over the sorted order
       var leftSum = 0.0
       var vHere = col(s(lo))
@@ -110,40 +120,13 @@ final class RegressionTree(
         val vNext = col(s(lo + k + 1))
         if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
           val g = gain(leftSum, k + 1, n, sum)
-          if (g > largest) largest = g
+          if (g > record + 1e-12) { record = g; at = k }
         }
         vHere = vNext
         k += 1
       }
-      largest
-    }
-
-    // the split the sequential scan keeps at the node being grown
-    private var bestGain = 0.0
-    private var bestFeat = -1
-    private var bestThr = 0.0
-
-    /** The sequential split scan of feature `f` in `lo until hi`: each
-      * valid split point whose gain is above `bestGain` + 1e-12 becomes the
-      * best.
-      */
-    private def scan(f: Int, lo: Int, hi: Int, sum: Double): Unit = {
-      val s = sorted(f)
-      val col = column(f)
-      val n = hi - lo
-      var leftSum = 0.0
-      var vHere = col(s(lo))
-      var k = 0
-      while (k < n - 1) {
-        leftSum += y(s(lo + k))
-        val vNext = col(s(lo + k + 1))
-        if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
-          val g = gain(leftSum, k + 1, n, sum)
-          if (g > bestGain + 1e-12) { bestGain = g; bestFeat = f; bestThr = (vHere + vNext) / 2.0 }
-        }
-        vHere = vNext
-        k += 1
-      }
+      recordAt(f) = at
+      record
     }
 
     /** Sum of y over `rows(lo until hi)`, in that order. */
@@ -155,8 +138,8 @@ final class RegressionTree(
     }
 
     /** Whether a node of `n` rows at `depth` would find every feature's
-      * largest gain on several threads: its parent finds them instead,
-      * in the tasks that partition each feature.
+      * record from 0 on several threads: its parent finds them instead, in
+      * the tasks that partition each feature.
       */
     private def foundByParent(n: Int, depth: Int): Boolean =
       allFeatures && depth < maxDepth && n >= 2 * minLeaf && isLarge(n, nFeat)
@@ -164,7 +147,7 @@ final class RegressionTree(
     def grow(lo: Int, hi: Int): Node = grow(lo, hi, 0, sumOf(lo, hi), null)
 
     /** The node of `rows(lo until hi)`, whose y sums to `sum`. `found`, when
-      * not null, holds each feature's largest gain in the node.
+      * not null, holds each feature's record from 0 in the node.
       */
     private def grow(lo: Int, hi: Int, depth: Int, sum: Double, found: Array[Double]): Node = {
       val n = hi - lo
@@ -180,31 +163,35 @@ final class RegressionTree(
         if (allFeatures) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
-      // A large node has each candidate's largest gain, found here on all
-      // cores or by its parent. The sequential scan then skips a feature
-      // whose largest gain is not above best + 1e-12: it could not have
-      // replaced the best there, so the chosen split and its gain are the
-      // sequential scan's. A small node scans every candidate.
-      val largest =
+      // A large node has each candidate's record from 0, found here on all
+      // cores or by its parent. Every gain of a feature is at most that
+      // record + 1e-12, so the sequential scan skips a feature whose record
+      // is not above the best: it could not replace the best there, and the
+      // chosen split and its gain are the sequential scan's. A small node
+      // scans every candidate.
+      val records =
         if (found != null) found
         else if (isLarge(n, cand.length)) {
           val a = new Array[Double](cand.length)
-          forEach(n, cand.length)(c => a(c) = largestGain(cand(c), lo, hi, sum))
+          forEach(n, cand.length)(c => a(c) = scan(cand(c), lo, hi, sum, 0.0))
           a
         } else null
-      bestGain = 0.0
-      bestFeat = -1
+      var best = 0.0
+      var feat = -1
       var c = 0
       while (c < cand.length) {
-        if (largest == null || largest(c) > bestGain + 1e-12) scan(cand(c), lo, hi, sum)
+        if (records == null || records(c) > best) {
+          val r = scan(cand(c), lo, hi, sum, best)
+          if (r > best) { best = r; feat = cand(c) }
+        }
         c += 1
       }
-      if (bestFeat < 0) return Leaf(meanHere)
-      // the children scan into the same fields
-      val (feat, thr) = (bestFeat, bestThr)
-      importanceAcc(feat) += bestGain
-      i = lo
+      if (feat < 0) return Leaf(meanHere)
       val col = column(feat)
+      val at = lo + recordAt(feat)
+      val thr = (col(sorted(feat)(at)) + col(sorted(feat)(at + 1))) / 2.0
+      importanceAcc(feat) += best
+      i = lo
       while (i < hi) { val j = rows(i); goLeft(j) = col(j) <= thr; i += 1 }
       val mid = partition(rows, lo, hi, bufs(nFeat))
       val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
@@ -214,8 +201,8 @@ final class RegressionTree(
       // leaf reads only `rows`, so children at maxDepth need none
       if (depth + 1 < maxDepth) forEach(n, nFeat) { f =>
         partition(sorted(f), lo, hi, bufs(f))
-        if (foundL != null) foundL(f) = largestGain(f, lo, mid, sumL)
-        if (foundR != null) foundR(f) = largestGain(f, mid, hi, sumR)
+        if (foundL != null) foundL(f) = scan(f, lo, mid, sumL, 0.0)
+        if (foundR != null) foundR(f) = scan(f, mid, hi, sumR, 0.0)
       }
       Split(feat, thr, grow(lo, mid, depth + 1, sumL, foundL),
         grow(mid, hi, depth + 1, sumR, foundR))
