@@ -15,6 +15,23 @@ trait StateSpace {
   /** s_b: the backward start state (procedure BackSt). */
   def backStart: State
 
+  /** Procedure BackSt: `attrs` plus each segment attribute's largest
+    * cluster (the first with the most rows when it is the only one of its
+    * segment unmasked), then the remaining cluster bits in layout order
+    * until the state evaluates: the paper's minimal class-covering sample.
+    */
+  protected def backStartFrom(attrs: Seq[String]): State = {
+    var s = attrs.foldLeft(State.empty(layout.width))((t, a) => t.set(layout.attrIdx(a)))
+    for (seg <- layout.segAttrs) {
+      val bits = layout.clusters.collect { case (a, c) if a == seg => layout.clusterIdx(a, c) }
+      val without = bits.foldLeft(full)(_.clear(_))
+      s = s.set(bits.maxBy(b => rowCountEstimate(without.set(b))))
+    }
+    val rest = (layout.attrs.size until layout.width).filterNot(s(_)).iterator
+    while (evaluate(s).isEmpty && rest.hasNext) s = s.set(rest.next())
+    s
+  }
+
   /** Reduct transitions: every applicable one-flip 1→0 child (OpGen). */
   def neighborsReduct(s: State): Seq[State] =
     (0 until layout.width).filter(s(_)).map(s.clear).filter(admissible)
@@ -57,36 +74,8 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
   override def layout: BitLayout = universal.layout
   override def measures: Vector[Measure] = task.measures
 
-  /** BackSt: the base table's own attributes plus, per segment attribute,
-    * greedily unmasked clusters until every target class is covered — the
-    * paper's minimal class-covering sample.
-    */
-  override lazy val backStart: State = {
-    val baseAttrs = task.lake.base.df.columns
-      .filter(layout.attrs.contains).toSet
-    var s = State.empty(layout.width)
-    for (a <- layout.attrs.indices if baseAttrs.contains(layout.attrs(a))) s = s.set(a)
-    // unmask the largest cluster of each segment attribute first
-    for (seg <- layout.segAttrs) {
-      val sizes = (0 until universal.clusterings(seg).k).map { c =>
-        c -> universal.segCounts.collect {
-          case (combo, n) if combo(layout.segAttrs.indexOf(seg)) == c => n
-        }.sum
-      }
-      val biggest = sizes.maxBy(_._2)._1
-      s = s.set(layout.clusterIdx(seg, biggest))
-    }
-    // grow until the materialized sample trains (class coverage + min rows)
-    var frontier = s
-    var ok = evaluate(frontier).isDefined
-    val remaining = scala.collection.mutable.Queue.from(
-      layout.clusters.indices.map(_ + layout.attrs.size).filterNot(frontier(_)))
-    while (!ok && remaining.nonEmpty) {
-      frontier = frontier.set(remaining.dequeue())
-      ok = evaluate(frontier).isDefined
-    }
-    frontier
-  }
+  /** BackSt from the base table's own attributes. */
+  override lazy val backStart: State = backStartFrom(task.lake.attrsOf(task.lake.base))
 
   // The one cache of exact results. A space serves one search (Runner builds
   // a fresh one per method), so it is not shared across methods: it keeps

@@ -32,20 +32,8 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
   override def admissible(s: State): Boolean =
     layout.segAttrs.forall(a => layout.clustersOf(s, a).nonEmpty)
 
-  override lazy val backStart: State = {
-    var s = State.empty(layout.width)
-    s = s.set(layout.attrIdx(lake.featureGroups.head))
-    val biggest = clusterSizes.maxBy(_._2)._1
-    s = s.set(layout.clusterIdx("edge", biggest))
-    var ok = evaluate(s).isDefined
-    val rest = scala.collection.mutable.Queue.from(
-      (0 until lake.nEdgeClusters).filter(_ != biggest))
-    while (!ok && rest.nonEmpty) {
-      s = s.set(layout.clusterIdx("edge", rest.dequeue()))
-      ok = evaluate(s).isDefined
-    }
-    s
-  }
+  /** BackSt from the first feature group. */
+  override lazy val backStart: State = backStartFrom(lake.featureGroups.take(1))
 
   override def evaluate(s: State): Option[EvalResult] = memo.getOrElseUpdate(s, {
     val clusters = layout.clustersOf(s, "edge")
