@@ -14,13 +14,11 @@ import scala.util.Random
 final class LightGCN(
     val nUsers: Int,
     val nItems: Int,
-    val dim: Int = 16,
-    val layers: Int = 2,
-    val lr: Double = 0.05,
-    val reg: Double = 1e-4,
     val epochs: Int = 30,
     val seed: Long = 23,
 ) {
+  import LightGCN._
+
   private var userEmb: Array[Array[Double]] = _
   private var itemEmb: Array[Array[Double]] = _
   private var userOut: Array[Array[Double]] = _
@@ -34,8 +32,8 @@ final class LightGCN(
           userFeat: Array[Array[Double]] = null,
           itemFeat: Array[Array[Double]] = null): this.type = {
     val rng = new Random(seed)
-    userEmb = Array.fill(nUsers)(Array.fill(dim)(rng.nextGaussian() * 0.1))
-    itemEmb = Array.fill(nItems)(Array.fill(dim)(rng.nextGaussian() * 0.1))
+    userEmb = Array.fill(nUsers)(Array.fill(Dim)(rng.nextGaussian() * 0.1))
+    itemEmb = Array.fill(nItems)(Array.fill(Dim)(rng.nextGaussian() * 0.1))
     if (userFeat != null && userFeat.nonEmpty && userFeat(0).nonEmpty)
       addProjected(userEmb, userFeat, new Random(seed + 1))
     if (itemFeat != null && itemFeat.nonEmpty && itemFeat(0).nonEmpty)
@@ -59,13 +57,13 @@ final class LightGCN(
         val xuneg = dot(userOut(u), itemOut(in))
         val g = sigmoid(-(xupos - xuneg)) // d/dx of softplus(-(x))
         var k = 0
-        while (k < dim) {
+        while (k < Dim) {
           val du = g * (itemOut(ip)(k) - itemOut(in)(k))
           val dip = g * userOut(u)(k)
           val din = -g * userOut(u)(k)
-          userEmb(u)(k) += lr * (du - reg * userEmb(u)(k))
-          itemEmb(ip)(k) += lr * (dip - reg * itemEmb(ip)(k))
-          itemEmb(in)(k) += lr * (din - reg * itemEmb(in)(k))
+          userEmb(u)(k) += Lr * (du - Reg * userEmb(u)(k))
+          itemEmb(ip)(k) += Lr * (dip - Reg * itemEmb(ip)(k))
+          itemEmb(in)(k) += Lr * (din - Reg * itemEmb(in)(k))
           k += 1
         }
         e += 1
@@ -86,24 +84,24 @@ final class LightGCN(
     val uSum = userEmb.map(_.clone)
     val iSum = itemEmb.map(_.clone)
     var l = 0
-    while (l < layers) {
-      val uNext = Array.fill(nUsers)(new Array[Double](dim))
-      val iNext = Array.fill(nItems)(new Array[Double](dim))
+    while (l < Layers) {
+      val uNext = Array.fill(nUsers)(new Array[Double](Dim))
+      val iNext = Array.fill(nItems)(new Array[Double](Dim))
       edges.foreach { case (u, i) =>
         val w = 1.0 / math.sqrt(math.max(1.0, du(u)) * math.max(1.0, di(i)))
         var k = 0
-        while (k < dim) {
+        while (k < Dim) {
           uNext(u)(k) += w * iCur(i)(k)
           iNext(i)(k) += w * uCur(u)(k)
           k += 1
         }
       }
       uCur = uNext; iCur = iNext
-      for (u <- 0 until nUsers; k <- 0 until dim) uSum(u)(k) += uCur(u)(k)
-      for (i <- 0 until nItems; k <- 0 until dim) iSum(i)(k) += iCur(i)(k)
+      for (u <- 0 until nUsers; k <- 0 until Dim) uSum(u)(k) += uCur(u)(k)
+      for (i <- 0 until nItems; k <- 0 until Dim) iSum(i)(k) += iCur(i)(k)
       l += 1
     }
-    val denom = (layers + 1).toDouble
+    val denom = (Layers + 1).toDouble
     userOut = uSum.map(_.map(_ / denom))
     itemOut = iSum.map(_.map(_ / denom))
   }
@@ -122,8 +120,8 @@ final class LightGCN(
   private def addProjected(emb: Array[Array[Double]], feat: Array[Array[Double]],
                            rng: Random): Unit = {
     val fDim = feat(0).length
-    val proj = Array.fill(fDim)(Array.fill(dim)(rng.nextGaussian() / math.sqrt(fDim)))
-    for (n <- emb.indices; k <- 0 until dim) {
+    val proj = Array.fill(fDim)(Array.fill(Dim)(rng.nextGaussian() / math.sqrt(fDim)))
+    for (n <- emb.indices; k <- 0 until Dim) {
       var s = 0.0
       var f = 0
       while (f < fDim) { s += feat(n)(f) * proj(f)(k); f += 1 }
@@ -139,4 +137,12 @@ final class LightGCN(
   }
 
   private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
+}
+
+object LightGCN {
+  // embedding width, propagation layers, SGD step and L2 weight
+  private final val Dim = 16
+  private final val Layers = 2
+  private final val Lr = 0.05
+  private final val Reg = 1e-4
 }

@@ -10,7 +10,7 @@ import scala.util.Random
   */
 sealed abstract class GradientBoosting(
     val nTrees: Int,
-    val learningRate: Double,
+    learningRate: Double,
     val maxDepth: Int,
     val minLeaf: Int,
     val seed: Long,
@@ -53,17 +53,16 @@ sealed abstract class GradientBoosting(
   def importances: Array[Double] = RegressionTree.summedImportances(trees, nFeatures)
 }
 
-/** Squared-loss GBM: starts at the label mean, identity link. Stands in for
-  * the paper's scikit-learn GradientBoosting ("GBmovie") and is the
-  * building block of the MO-GBM estimator.
+/** Squared-loss GBM: starts at the label mean, identity link, learning rate
+  * 0.1. Stands in for the paper's scikit-learn GradientBoosting ("GBmovie")
+  * and is the building block of the MO-GBM estimator.
   */
 final class GBMRegressor(
     nTrees: Int = 40,
-    learningRate: Double = 0.1,
     maxDepth: Int = 3,
     minLeaf: Int = 5,
     seed: Long = 7,
-) extends GradientBoosting(nTrees, learningRate, maxDepth, minLeaf, seed) {
+) extends GradientBoosting(nTrees, learningRate = 0.1, maxDepth, minLeaf, seed) {
   protected def start(y: Array[Double]): Double = y.sum / y.length
   protected def link(score: Double): Double = score
 
@@ -71,15 +70,14 @@ final class GBMRegressor(
 }
 
 /** Binary logistic-loss GBM on 0/1 labels: starts at the log-odds, sigmoid
-  * link. The LightGBM stand-in of "LGCmental".
+  * link, learning rate 0.15. The LightGBM stand-in of "LGCmental".
   */
 final class GBMClassifier(
     nTrees: Int = 40,
-    learningRate: Double = 0.15,
     maxDepth: Int = 3,
     minLeaf: Int = 5,
     seed: Long = 11,
-) extends GradientBoosting(nTrees, learningRate, maxDepth, minLeaf, seed) {
+) extends GradientBoosting(nTrees, learningRate = 0.15, maxDepth, minLeaf, seed) {
   protected def start(y: Array[Double]): Double = {
     require(y.forall(v => v == 0.0 || v == 1.0), "GBMClassifier: labels must be 0/1")
     val pos = y.count(_ == 1.0).toDouble.max(0.5)

@@ -8,7 +8,6 @@ package repro.ml
 final class MOGBM(
     val nOutputs: Int,
     val nTrees: Int = 60,
-    val learningRate: Double = 0.1,
     val maxDepth: Int = 3,
     val minLeaf: Int = 2,
     val seed: Long = 17,
@@ -20,7 +19,7 @@ final class MOGBM(
     require(x.length == ys.length && x.nonEmpty, "MOGBM: bad input")
     require(ys.forall(_.length == nOutputs), "MOGBM: output arity mismatch")
     models = Vector.tabulate(nOutputs) { o =>
-      new GBMRegressor(nTrees, learningRate, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))
+      new GBMRegressor(nTrees, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))
     }
     this
   }
