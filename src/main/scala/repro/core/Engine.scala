@@ -5,18 +5,20 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Shared level-wise search engine behind the four MODis algorithms
-  * (Section 5): ApxMODis (forward reduct-only), NOBiMODis (bi-directional,
-  * no pruning), BiMODis (bi-directional + correlation-based pruning), and
-  * DivMODis (bi-directional + per-level diversification).
+  * (Section 5). The variant fixes its three behaviours: both frontiers for
+  * every variant but ApxMODis, correlation-based pruning for BiMODis, and
+  * per-level diversification for DivMODis.
   */
-final class ModisEngine(
+private[core] final class ModisEngine(
     space: StateSpace,
     valuator: Valuator,
     cfg: ModisConfig,
-    bidirectional: Boolean,
-    pruning: Boolean,
-    diversifying: Boolean,
+    variant: Modis,
 ) {
+  private val bidirectional = variant != ApxMODis
+  private val pruning = variant == BiMODis
+  private val diversifying = variant == DivMODis
+
   private val grid = new SkylineGrid(space.measures, cfg.eps)
   private val rng = new Random(cfg.seed)
   private var prunedCount = 0
@@ -28,10 +30,13 @@ final class ModisEngine(
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by[Entry, (Double, Long)](e => (e.priority, e.seq)).reverse
 
-  private def push(q: mutable.PriorityQueue[Entry], s: State, lvl: Int, p: Array[Double]): Unit = {
-    q.enqueue(Entry(s, lvl, p.sum, seqCounter))
-    seqCounter += 1
-  }
+  /** Valuate `s`; when usable, offer it to the grid and queue it at `lvl`. */
+  private def admit(q: mutable.PriorityQueue[Entry], s: State, lvl: Int): Unit =
+    valuator.valuate(s).foreach { p =>
+      grid.offer(s, p)
+      q.enqueue(Entry(s, lvl, p.sum, seqCounter))
+      seqCounter += 1
+    }
 
   private val visitedF = mutable.Set.empty[State]
   private val visitedB = mutable.Set.empty[State]
@@ -44,13 +49,13 @@ final class ModisEngine(
 
     val sU = space.full
     visitedF += sU
-    valuator.valuate(sU).foreach { p => grid.offer(sU, p); push(qf, sU, 0, p) }
+    admit(qf, sU, 0)
 
     if (bidirectional) {
       val sb = space.backStart
       visitedB += sb
       met = visitedF.contains(sb)
-      valuator.valuate(sb).foreach { p => grid.offer(sb, p); push(qb, sb, 0, p) }
+      admit(qb, sb, 0)
     }
 
     var level = 0
@@ -82,12 +87,7 @@ final class ModisEngine(
         if (other.contains(c)) met = true
         explored += 1
         if (pruning && canPrune(c)) prunedCount += 1
-        else valuator.valuate(c) match {
-          case Some(p) =>
-            grid.offer(c, p)
-            push(q, c, lvl + 1, p)
-          case None => () // unusable dataset; dead end
-        }
+        else admit(q, c, lvl + 1) // an unusable dataset is a dead end
       }
     }
     lvl
@@ -138,7 +138,7 @@ final class ModisEngine(
   }
 }
 
-object ModisEngine {
+private[core] object ModisEngine {
 
   /** Frontier entry: the "path length" framing of Section 5.1 — states with
     * the smallest aggregate estimated performance are expanded first
@@ -202,32 +202,27 @@ object ModisEngine {
   }
 }
 
-/** Algorithm 1 — "reduce-from-universal" (N,ε)-approximation. */
-object ApxMODis {
+/** A MODis algorithm of Section 5: one configuration of [[ModisEngine]]. */
+sealed abstract class Modis(val name: String) {
   def run(space: StateSpace, valuator: Valuator, cfg: ModisConfig): ModisResult =
-    new ModisEngine(space, valuator, cfg, bidirectional = false, pruning = false,
-      diversifying = false).run()
+    new ModisEngine(space, valuator, cfg, this).run()
 }
+
+object Modis {
+  /** The paper's four algorithms, in the order the Tables report them. */
+  val all: Vector[Modis] = Vector(ApxMODis, NOBiMODis, BiMODis, DivMODis)
+}
+
+/** Algorithm 1 — "reduce-from-universal" (N,ε)-approximation. */
+object ApxMODis extends Modis("ApxMODis")
 
 /** Algorithm 2 without correlation-based pruning (the paper's NOBiMODis). */
-object NOBiMODis {
-  def run(space: StateSpace, valuator: Valuator, cfg: ModisConfig): ModisResult =
-    new ModisEngine(space, valuator, cfg, bidirectional = true, pruning = false,
-      diversifying = false).run()
-}
+object NOBiMODis extends Modis("NOBiMODis")
 
 /** Algorithm 2 — bi-directional search with correlation-based pruning. */
-object BiMODis {
-  def run(space: StateSpace, valuator: Valuator, cfg: ModisConfig): ModisResult =
-    new ModisEngine(space, valuator, cfg, bidirectional = true, pruning = true,
-      diversifying = false).run()
-}
+object BiMODis extends Modis("BiMODis")
 
 /** Algorithm 3 — diversified skyline generation over the bi-directional
   * search.
   */
-object DivMODis {
-  def run(space: StateSpace, valuator: Valuator, cfg: ModisConfig): ModisResult =
-    new ModisEngine(space, valuator, cfg, bidirectional = true, pruning = false,
-      diversifying = true).run()
-}
+object DivMODis extends Modis("DivMODis")

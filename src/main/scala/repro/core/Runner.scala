@@ -81,26 +81,22 @@ object Runner {
     * discovery time is honest (no cross-method evaluation cache).
     */
   def modisReports(spaceFactory: () => StateSpace, cfg: ModisConfig,
-                   primaryIdx: Int): Vector[MethodReport] = {
-    val algos: Vector[(String, (StateSpace, Valuator, ModisConfig) => ModisResult)] = Vector(
-      ("ApxMODis", ApxMODis.run), ("NOBiMODis", NOBiMODis.run),
-      ("BiMODis", BiMODis.run), ("DivMODis", DivMODis.run))
-    algos.map { case (name, run) =>
+                   primaryIdx: Int): Vector[MethodReport] =
+    Modis.all.map { m =>
       val space = spaceFactory()
       val valuator = new SurrogateValuator(space, cfg.bootstrap)
       val t0 = System.nanoTime()
-      val result = run(space, valuator, cfg)
+      val result = m.run(space, valuator, cfg)
       val secs = (System.nanoTime() - t0) / 1e9
       val best = result.bestBy(primaryIdx).getOrElse(
-        throw new IllegalStateException(s"$name produced an empty skyline"))
+        throw new IllegalStateException(s"${m.name} produced an empty skyline"))
       // estimated winner unusable in reality: fall back to any usable entry
       val exact = valuator.exact(best._1)
         .orElse(result.skyline.iterator.flatMap(e => valuator.exact(e._1)).nextOption())
         .getOrElse(throw new IllegalStateException(
-          s"$name: no skyline entry evaluates as usable"))
-      MethodReport(name, exact.raw, exact.rows, exact.cols, secs)
+          s"${m.name}: no skyline entry evaluates as usable"))
+      MethodReport(m.name, exact.raw, exact.rows, exact.cols, secs)
     }
-  }
 
   /** Table 5: MODis methods on the T5 graph task (plus the full graph as
     * "Original").
