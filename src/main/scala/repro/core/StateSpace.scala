@@ -52,6 +52,17 @@ trait StateSpace {
     */
   def evaluate(s: State): Option[EvalResult]
 
+  // The one cache of exact results. A space serves one search (Runner builds
+  // a fresh one per method), so it is not shared across methods: it keeps
+  // BackSt's probes, the search's exact valuations and the post-search
+  // `exact` call from fitting a state twice. Fits are deterministic, so
+  // caching is sound.
+  private val exactResults = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
+
+  /** `eval`, the exact valuation of `s`, run at most once per state. */
+  protected final def cached(s: State)(eval: => Option[EvalResult]): Option[EvalResult] =
+    exactResults.getOrElseUpdate(s, eval)
+
   /** Cheap row-count proxy (no Spark job) — correlation pruning's |D|. */
   def rowCountEstimate(s: State): Long
 
@@ -77,19 +88,11 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
   /** BackSt from the base table's own attributes. */
   override lazy val backStart: State = backStartFrom(task.lake.attrsOf(task.lake.base))
 
-  // The one cache of exact results. A space serves one search (Runner builds
-  // a fresh one per method), so it is not shared across methods: it keeps
-  // BackSt's probes, the search's exact valuations and the post-search
-  // `exact` call from fitting a state twice. Fits are deterministic, so
-  // caching is sound.
-  private val memo = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
-
   // No Spark job per state: rows and columns come from D_U's driver copy.
-  override def evaluate(s: State): Option[EvalResult] =
-    memo.getOrElseUpdate(s, {
-      val (ids, data) = universal.driverRows(s)
-      task.evaluate(ids, data)
-    })
+  override def evaluate(s: State): Option[EvalResult] = cached(s) {
+    val (ids, data) = universal.driverRows(s)
+    task.evaluate(ids, data)
+  }
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)
 }

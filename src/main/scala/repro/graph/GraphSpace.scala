@@ -24,8 +24,6 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
   private val clusterSizes: Map[Int, Long] =
     lake.edges.groupBy(_._3).map { case (c, es) => c -> es.size.toLong }
 
-  private val memo = scala.collection.mutable.HashMap.empty[State, Option[EvalResult]]
-
   /** Graph states may keep zero feature groups (LightGCN runs on free
     * embeddings alone), but need at least one edge cluster.
     */
@@ -35,7 +33,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
   /** BackSt from the first feature group. */
   override lazy val backStart: State = backStartFrom(lake.featureGroups.take(1))
 
-  override def evaluate(s: State): Option[EvalResult] = memo.getOrElseUpdate(s, {
+  override def evaluate(s: State): Option[EvalResult] = cached(s) {
     val clusters = layout.clustersOf(s, "edge")
     val edges = lake.edges.collect { case (u, i, c) if clusters.contains(c) => (u, i) }
     if (edges.size < 50) None
@@ -60,7 +58,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
       val cols = groups.map(g => lake.userFeatures(g)(0).length).sum
       Some(EvalResult(raw, norm, rows = edges.size, cols = cols))
     }
-  })
+  }
 
   override def rowCountEstimate(s: State): Long =
     layout.clustersOf(s, "edge").toSeq.map(c => clusterSizes.getOrElse(c, 0L)).sum
