@@ -43,15 +43,14 @@ object Pareto {
     }.toSet
 
   /** Equation (1): the discretized (|P|−1)-ary grid position of a vector,
-    * skipping the decisive measure.
+    * skipping the decisive measure, the last one.
     */
-  def pos(p: Array[Double], measures: Vector[Measure], eps: Double, decisiveIdx: Int): Vector[Int] = {
+  def pos(p: Array[Double], measures: Vector[Measure], eps: Double): Vector[Int] = {
     require(p.length == measures.length, "pos: arity mismatch")
-    measures.indices.collect {
-      case i if i != decisiveIdx =>
-        math.floor(math.log(math.max(p(i), measures(i).lower) / measures(i).lower) /
-          math.log(1 + eps)).toInt
-    }.toVector
+    Vector.tabulate(measures.length - 1) { i =>
+      math.floor(math.log(math.max(p(i), measures(i).lower) / measures(i).lower) /
+        math.log(1 + eps)).toInt
+    }
   }
 }
 
@@ -59,7 +58,7 @@ object Pareto {
   * a newcomer wins on the decisive measure, the last one (procedure UPareto).
   */
 final class SkylineGrid(measures: Vector[Measure], eps: Double) {
-  val decisiveIdx: Int = measures.length - 1
+  private val decisiveIdx = measures.length - 1
   private val cells = scala.collection.mutable.LinkedHashMap.empty[Vector[Int], (State, Array[Double])]
 
   /** UPareto: reject if any upper bound is violated; otherwise insert or
@@ -72,7 +71,7 @@ final class SkylineGrid(measures: Vector[Measure], eps: Double) {
       if (perf(i) > measures(i).upper) return false
       i += 1
     }
-    val key = Pareto.pos(perf, measures, eps, decisiveIdx)
+    val key = Pareto.pos(perf, measures, eps)
     cells.get(key) match {
       case None => cells(key) = (s, perf); true
       case Some((_, old)) if perf(decisiveIdx) < old(decisiveIdx) =>

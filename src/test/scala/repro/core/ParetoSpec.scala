@@ -67,19 +67,23 @@ class ParetoSpec extends AnyFunSuite {
   private val twoMeasures = Vector(Measure("p1"), Measure("p2"))
 
   test("pos skips the decisive measure") {
-    val p = Pareto.pos(Array(0.5, 0.7), twoMeasures, eps = 0.3, decisiveIdx = 1)
+    val p = Pareto.pos(Array(0.5, 0.7), twoMeasures, eps = 0.3)
     assert(p.length == 1)
   }
   test("pos is the floor of log_(1+eps)(p/p_l)") {
     val m = Vector(Measure("p1", lower = 0.1), Measure("p2"))
-    val p = Pareto.pos(Array(0.1, 0.9), m, eps = 0.5, decisiveIdx = 1)
+    val p = Pareto.pos(Array(0.1, 0.9), m, eps = 0.5)
     assert(p == Vector(0))
-    val p2 = Pareto.pos(Array(0.151, 0.9), m, eps = 0.5, decisiveIdx = 1)
+    val p2 = Pareto.pos(Array(0.151, 0.9), m, eps = 0.5)
     assert(p2 == Vector(1))
+  }
+  test("pos of three measures grids the first two") {
+    val m = Vector(Measure("p1", lower = 0.1), Measure("p2", lower = 0.1), Measure("p3", lower = 0.1))
+    assert(Pareto.pos(Array(0.1, 0.151, 0.5), m, eps = 0.5) == Vector(0, 1))
   }
   test("pos values below the lower bound clamp to bucket 0") {
     val m = Vector(Measure("p1", lower = 0.1), Measure("p2"))
-    assert(Pareto.pos(Array(0.01, 0.5), m, 0.3, 1) == Vector(0))
+    assert(Pareto.pos(Array(0.01, 0.5), m, 0.3) == Vector(0))
   }
 
   private def st(i: Int) = State(BitSet(i), 8)
