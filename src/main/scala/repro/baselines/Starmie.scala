@@ -36,10 +36,6 @@ object Starmie {
     hist.map(_ / n) ++ Array(m / (math.abs(m) + sd + 1e-9), sd / (sd + math.abs(m) + 1e-9))
   }
 
-  /** Best column-pair cosine similarity between two tables. */
-  def tableSimilarity(a: DataFrame, b: DataFrame, skip: Set[String]): Double =
-    bestCosine(sketches(a, skip), sketches(b, skip))
-
   /** Each column's sketch but `skip`'s, from one collect of the table: cells
     * read as [[Frame]] reads them (null as NaN), NaN dropped per column.
     */

@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.core.{EvalResult, State, TabularTask, Universal, UniversalTable}
 import repro.lake.{DataLake, LakeTable}
 import repro.ml.Frame
+import repro.util.Stats
 
 /** Evaluation of a baseline's output: its attributes cut from D_U's driver
   * copy over all rows, as Runner reports it.
@@ -91,9 +92,16 @@ class StarmieSpec extends SparkSpec {
   }
 
   test("similar columns score higher than dissimilar ones") {
-    val aux = lake.aux.head
-    val simAux = Starmie.tableSimilarity(lake.base.df, aux.df, Set("id", "target"))
-    val simDis = Starmie.tableSimilarity(lake.base.df, lake.distractors.head.df, Set("id", "target"))
+    // each column's sketch but id's and target's, cells read as Starmie reads them
+    def sketches(t: LakeTable): Seq[Array[Double]] = {
+      val rows = t.df.collect()
+      t.df.columns.indices.filterNot(j => Set("id", "target")(t.df.columns(j)))
+        .map(j => Starmie.columnSketch(rows.map(Frame.doubleAt(_, j)).filterNot(_.isNaN)))
+    }
+    def bestCosine(a: LakeTable, b: LakeTable): Double =
+      (for (sa <- sketches(a); sb <- sketches(b)) yield Stats.cosine(sa, sb)).max
+    val simAux = bestCosine(lake.base, lake.aux.head)
+    val simDis = bestCosine(lake.base, lake.distractors.head)
     assert(simAux > simDis, s"aux=$simAux distractor=$simDis")
   }
 
