@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{ModisConfig, Runner}
-import repro.jobs.Table4Job
+import repro.core.Runner
+import repro.jobs.{Table4Job, TableConfig}
 
 /** Reproduces Table 4: the multi-objective comparison on T2 (House, RF) and
   * T4 (Mental, GBM). Shape expectations from the paper:
@@ -13,7 +13,7 @@ import repro.jobs.Table4Job
 class Table4Bench extends SparkSpec {
 
   private val sf = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
-  private val cfg = ModisConfig(n = 150, eps = 0.1, maxl = 6, bootstrap = 20)
+  private val cfg = TableConfig.Tabular
 
   private lazy val house = Runner.tabularComparison(spark, "house", sf, cfg)
   private lazy val mental = Runner.tabularComparison(spark, "mental", sf, cfg)

@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{ModisConfig, Runner}
-import repro.jobs.Table5Job
+import repro.core.Runner
+import repro.jobs.{Table5Job, TableConfig}
 
 /** Reproduces Table 5: MODis methods on T5 (LightGCN link recommendation).
   * Shape expectations: every MODis variant improves P@5/P@10/NDCG over the
@@ -11,7 +11,7 @@ import repro.jobs.Table5Job
 class Table5Bench extends SparkSpec {
 
   private val sf = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
-  private val cfg = ModisConfig(n = 60, eps = 0.1, maxl = 5, bootstrap = 15)
+  private val cfg = TableConfig.Graph
 
   private lazy val reports = Runner.graphComparison(sf, cfg)
 

@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{ModisConfig, Runner}
-import repro.jobs.Table6Job
+import repro.core.Runner
+import repro.jobs.{Table6Job, TableConfig}
 
 /** Reproduces Table 6 (Appendix B): comparison on T1 (Movie, GBM regression)
   * and T3 (Avocado, linear regression). Shape expectations: MODis wins
@@ -11,7 +11,7 @@ import repro.jobs.Table6Job
 class Table6Bench extends SparkSpec {
 
   private val sf = sys.env.getOrElse("BENCH_SF", "0.1").toDouble
-  private val cfg = ModisConfig(n = 150, eps = 0.1, maxl = 6, bootstrap = 20)
+  private val cfg = TableConfig.Tabular
 
   private lazy val movie = Runner.tabularComparison(spark, "movie", sf, cfg)
   private lazy val avocado = Runner.tabularComparison(spark, "avocado", sf, cfg)

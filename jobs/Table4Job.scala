@@ -21,7 +21,7 @@ object Table4Job {
     spark.stop()
   }
 
-  def render(spark: SparkSession, sf: Double, cfg: ModisConfig = ModisConfig()): String = {
+  def render(spark: SparkSession, sf: Double, cfg: ModisConfig = TableConfig.Tabular): String = {
     val house = Runner.tabularComparison(spark, "house", sf, cfg)
     val mental = Runner.tabularComparison(spark, "mental", sf, cfg)
     Runner.formatTable("Table 4 / T2: House (RF classification)", houseMetrics, house) + "\n" +

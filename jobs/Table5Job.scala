@@ -18,7 +18,7 @@ object Table5Job {
     spark.stop()
   }
 
-  def render(sf: Double, cfg: ModisConfig = ModisConfig()): String = {
+  def render(sf: Double, cfg: ModisConfig = TableConfig.Graph): String = {
     val reports = Runner.graphComparison(sf, cfg)
     Runner.formatTable("Table 5 / T5: LightGCN recommendation", metrics, reports)
   }

@@ -20,7 +20,7 @@ object Table6Job {
     spark.stop()
   }
 
-  def render(spark: SparkSession, sf: Double, cfg: ModisConfig = ModisConfig()): String = {
+  def render(spark: SparkSession, sf: Double, cfg: ModisConfig = TableConfig.Tabular): String = {
     val movie = Runner.tabularComparison(spark, "movie", sf, cfg)
     val avocado = Runner.tabularComparison(spark, "avocado", sf, cfg)
     Runner.formatTable("Table 6 / T1: Movie (GBM regression)", movieMetrics, movie) + "\n" +

@@ -38,7 +38,7 @@ object Runner {
 
   /** Run the full tabular comparison for one task. */
   def tabularComparison(spark: SparkSession, lakeName: String, sf: Double,
-                        cfg: ModisConfig = ModisConfig()): Vector[MethodReport] = {
+                        cfg: ModisConfig): Vector[MethodReport] = {
     val lake = lakeByName(spark, lakeName, sf)
     val universal = Universal.build(lake)
     val everyRow = universal.rowIndices(State.full(universal.layout.width))
@@ -101,7 +101,7 @@ object Runner {
   /** Table 5: MODis methods on the T5 graph task (plus the full graph as
     * "Original").
     */
-  def graphComparison(sf: Double, cfg: ModisConfig = ModisConfig()): Vector[MethodReport] = {
+  def graphComparison(sf: Double, cfg: ModisConfig): Vector[MethodReport] = {
     val lake = GraphLake.generate(sf)
     val probe = new GraphSpace(lake)
     val full = probe.evaluate(probe.full).getOrElse(
