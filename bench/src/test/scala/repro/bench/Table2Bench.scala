@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.Runner
 import repro.jobs.Table2Job
 import repro.lake.DataLake
 
@@ -21,7 +22,7 @@ class Table2Bench extends SparkSpec {
   }
 
   test("Table 2: corpora are non-trivial at bench scale") {
-    val kaggle = Seq(DataLake.movie(spark, sf), DataLake.mental(spark, sf))
+    val kaggle = Seq(Runner.lakeByName(spark, "movie", sf), Runner.lakeByName(spark, "mental", sf))
     val (t, c, r) = DataLake.corpusStats(kaggle)
     assert(t >= 8, s"tables=$t")   // 2 lakes x (base + >=3 aux/distractors)
     assert(c > 20, s"cols=$c")
@@ -31,8 +32,8 @@ class Table2Bench extends SparkSpec {
   test("Table 2: ordering matches the paper (OpenData-lite widest schema per table ratio)") {
     // the paper's OpenData has the most columns; our substitute keeps the
     // house lake the widest
-    val house = DataLake.house(spark, sf)
-    val movie = DataLake.movie(spark, sf)
+    val house = Runner.lakeByName(spark, "house", sf)
+    val movie = Runner.lakeByName(spark, "movie", sf)
     assert(house.featureAttrs.size > movie.featureAttrs.size)
   }
 }

@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Runner
 import repro.lake.DataLake
 
 /** Table 2 — characteristics of the (synthetic substitute) dataset corpora.
@@ -18,9 +19,9 @@ object Table2Job {
     * OpenData-lite T2, HF-lite T3 (plus T5's graph counted as edges).
     */
   def render(spark: SparkSession, sf: Double): String = {
-    val kaggle = Seq(DataLake.movie(spark, sf), DataLake.mental(spark, sf))
-    val openData = Seq(DataLake.house(spark, sf))
-    val hf = Seq(DataLake.avocado(spark, sf))
+    val kaggle = Seq(Runner.lakeByName(spark, "movie", sf), Runner.lakeByName(spark, "mental", sf))
+    val openData = Seq(Runner.lakeByName(spark, "house", sf))
+    val hf = Seq(Runner.lakeByName(spark, "avocado", sf))
     val rows = Seq(
       ("Kaggle-lite", DataLake.corpusStats(kaggle)),
       ("OpenData-lite", DataLake.corpusStats(openData)),

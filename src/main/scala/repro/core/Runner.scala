@@ -19,22 +19,11 @@ final case class MethodReport(method: String, raw: Map[String, Double],
   */
 object Runner {
 
-  def lakeByName(spark: SparkSession, name: String, sf: Double): TabularLake = name match {
-    case "movie"   => DataLake.movie(spark, sf)
-    case "house"   => DataLake.house(spark, sf)
-    case "avocado" => DataLake.avocado(spark, sf)
-    case "mental"  => DataLake.mental(spark, sf)
-    case other     => throw new IllegalArgumentException(s"unknown lake $other")
-  }
+  def lakeByName(spark: SparkSession, name: String, sf: Double): TabularLake =
+    DataLake.generic(spark, TabularTask.spec(name).lake, sf)
 
   /** The measure each task's winner is selected by (Section 6, Exp-1). */
-  def primaryMeasure(lakeName: String): String = lakeName match {
-    case "movie" => "acc"
-    case "house" => "f1"
-    case "avocado" => "mse"
-    case "mental" => "acc"
-    case other => throw new IllegalArgumentException(s"unknown lake $other")
-  }
+  def primaryMeasure(lakeName: String): String = TabularTask.spec(lakeName).primary
 
   /** Run the full tabular comparison for one task. */
   def tabularComparison(spark: SparkSession, lakeName: String, sf: Double,
@@ -50,7 +39,6 @@ object Runner {
     val task = task0.calibrated(sU)
     val primary = primaryMeasure(lakeName)
     val primaryIdx = task.measureNames.indexOf(primary)
-    require(primaryIdx >= 0, s"primary measure $primary not in ${task.measureNames}")
 
     // each baseline outputs attributes of D_U over all its rows, cut from the driver copy
     def report(name: String, baseline: => Vector[String]): MethodReport = {

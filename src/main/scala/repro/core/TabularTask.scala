@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.lake.TabularLake
+import repro.lake.{DataLake, TabularLake}
 import repro.ml._
 import repro.util.Stats
 
@@ -139,12 +139,38 @@ final class TabularTask(
 object TabularTask {
   val MinRows = 40
 
-  /** The paper's task → (model, measure set) assignment (Tables 3–6). */
-  def forLake(lake: TabularLake): TabularTask = lake.name match {
-    case "movie"   => new TabularTask(lake, ModelKind.GBM, Vector("acc", "fsc", "mi", "train"))
-    case "house"   => new TabularTask(lake, ModelKind.RF, Vector("f1", "acc", "fsc", "mi", "train"))
-    case "avocado" => new TabularTask(lake, ModelKind.Ridge, Vector("mae", "mse", "train"))
-    case "mental"  => new TabularTask(lake, ModelKind.GBM, Vector("acc", "f1", "auc", "train"))
-    case other     => throw new IllegalArgumentException(s"unknown lake $other")
+  /** One tabular task of Section 6: its lake's generation parameters, model,
+    * search measures (Table 3) and the measure each method's winner is picked by (Exp-1).
+    */
+  final case class Spec(lake: DataLake.Params, model: ModelKind, measures: Vector[String], primary: String) {
+    require(measures.contains(primary), s"${lake.name}: primary measure $primary not in $measures")
   }
+
+  /** The paper's tasks T1–T4 (Tables 3–6). */
+  val Specs: Vector[Spec] = Vector(
+    // T1 — Kaggle "movie gross" regression (GBM model).
+    Spec(DataLake.Params("movie", 3732, nInformative = 5, nNoise = 4,
+      segK = (4, 3), noisySegs = Set(0), classification = false, seed = 101),
+      ModelKind.GBM, Vector("acc", "fsc", "mi", "train"), primary = "acc"),
+    // T2 — OpenData "house price" classification (Random Forest model).
+    Spec(DataLake.Params("house", 1178, nInformative = 10, nNoise = 12,
+      segK = (5, 4), noisySegs = Set(0, 1), classification = true, seed = 202),
+      ModelKind.RF, Vector("f1", "acc", "fsc", "mi", "train"), primary = "f1"),
+    // T3 — HF "avocado price" regression (linear model).
+    Spec(DataLake.Params("avocado", 18249, nInformative = 6, nNoise = 4,
+      segK = (5, 3), noisySegs = Set(0), classification = false, seed = 303),
+      ModelKind.Ridge, Vector("mae", "mse", "train"), primary = "mse"),
+    // T4 — Kaggle "mental health" classification (LightGBM stand-in: GBM).
+    Spec(DataLake.Params("mental", 140700, nInformative = 8, nNoise = 9,
+      segK = (5, 4), noisySegs = Set(0), classification = true, seed = 404),
+      ModelKind.GBM, Vector("acc", "f1", "auc", "train"), primary = "acc"),
+  )
+
+  /** The task of the lake named `name`. */
+  def spec(name: String): Spec = Specs.find(_.lake.name == name).getOrElse(
+    throw new IllegalArgumentException(s"unknown lake $name"))
+
+  /** The task of a Table lake, uncalibrated. */
+  def forLake(lake: TabularLake): TabularTask =
+    spec(lake.name) match { case Spec(_, model, measures, _) => new TabularTask(lake, model, measures) }
 }

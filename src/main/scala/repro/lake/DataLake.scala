@@ -35,13 +35,15 @@ final case class TabularLake(
     t.df.columns.filterNot(c => c == key || c == target).toVector
 }
 
-/** Deterministic generators for the five task lakes (T1–T4 tabular; T5 is
-  * in [[GraphLake]]). Row counts follow the paper's universal-table sizes,
-  * scaled by `sf` (sf=0.1 approximates the paper scale, capped at 8000 rows
-  * so driver-side model fits stay in milliseconds; documented substitution).
+/** Deterministic generator of the T1–T4 lakes from their parameters in
+  * `repro.core.TabularTask.Specs` (T5 is in [[GraphLake]]). Row counts follow
+  * the paper's universal-table sizes, scaled by `sf` (sf=0.1 approximates the
+  * paper scale, capped at 8000 rows so driver-side model fits stay in
+  * milliseconds; documented substitution).
   */
 object DataLake {
 
+  /** A lake's generation parameters. */
   final case class Params(
       name: String,
       paperRows: Int,
@@ -52,32 +54,12 @@ object DataLake {
       /** clusters of segment attr 0 that carry heavy label noise */
       noisySegs: Set[Int],
       classification: Boolean,
-      seed: Long = 42,
+      seed: Long,
   )
 
   // label noise in the noisy segment clusters: class flip chance, regression noise sd
   private val FlipProb = 0.45
   private val NoiseSigma = 3.0
-
-  /** T1 — Kaggle "movie gross" regression (GBM model). */
-  def movie(spark: SparkSession, sf: Double = 0.01): TabularLake =
-    generic(spark, Params("movie", 3732, nInformative = 5, nNoise = 4,
-      segK = (4, 3), noisySegs = Set(0), classification = false, seed = 101), sf)
-
-  /** T2 — OpenData "house price" classification (Random Forest model). */
-  def house(spark: SparkSession, sf: Double = 0.01): TabularLake =
-    generic(spark, Params("house", 1178, nInformative = 10, nNoise = 12,
-      segK = (5, 4), noisySegs = Set(0, 1), classification = true, seed = 202), sf)
-
-  /** T3 — HF "avocado price" regression (linear model). */
-  def avocado(spark: SparkSession, sf: Double = 0.01): TabularLake =
-    generic(spark, Params("avocado", 18249, nInformative = 6, nNoise = 4,
-      segK = (5, 3), noisySegs = Set(0), classification = false, seed = 303), sf)
-
-  /** T4 — Kaggle "mental health" classification (LightGBM stand-in: GBM). */
-  def mental(spark: SparkSession, sf: Double = 0.01): TabularLake =
-    generic(spark, Params("mental", 140700, nInformative = 8, nNoise = 9,
-      segK = (5, 4), noisySegs = Set(0), classification = true, seed = 404), sf)
 
   def rowsAt(paperRows: Int, sf: Double): Int =
     math.min(8000, math.max(200, (paperRows * sf * 10).toInt))

@@ -2,8 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.functions.udf
 import repro.SparkSpec
-import repro.core.{EvalResult, State, TabularTask, Universal, UniversalTable}
-import repro.lake.{DataLake, LakeTable}
+import repro.core.{EvalResult, Runner, State, TabularTask, Universal, UniversalTable}
+import repro.lake.LakeTable
 import repro.ml.Frame
 import repro.util.Stats
 
@@ -22,7 +22,7 @@ private object Cut {
 
 class MetamSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
 
@@ -62,7 +62,7 @@ class MetamSpec extends SparkSpec {
 
 class StarmieSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
 
   test("column sketch has histogram + moment entries") {
@@ -125,7 +125,7 @@ class StarmieSpec extends SparkSpec {
 
 class FeatureSelectSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
   private lazy val sU = uni.driverRows(State.full(uni.layout.width))._2
@@ -165,7 +165,7 @@ class FeatureSelectSpec extends SparkSpec {
   }
 
   test("regression variants work (avocado lake)") {
-    val rl = DataLake.avocado(spark, sf = 0.01)
+    val rl = Runner.lakeByName(spark, "avocado", 0.01)
     val ru = Universal.build(rl)
     val rt = TabularTask.forLake(rl)
     val rsU = ru.driverRows(State.full(ru.layout.width))._2

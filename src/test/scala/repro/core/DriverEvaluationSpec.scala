@@ -4,7 +4,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.udf
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.lake.{DataLake, TabularLake}
+import repro.lake.TabularLake
 
 /** A state evaluated from D_U's driver copy must give what the Spark
   * reference path gives: `task.evaluate(uni.materialize(s))`. The searches
@@ -37,9 +37,9 @@ class DriverEvaluationSpec extends SparkSpec {
           "smallest" -> smallest)
   }
 
-  private lazy val house = new Fixture(DataLake.house(spark, sf = 0.01))
-  private lazy val avocado = new Fixture(DataLake.avocado(spark, sf = 0.01))
-  private lazy val mental = new Fixture(DataLake.mental(spark, sf = 0.01))
+  private lazy val house = new Fixture(Runner.lakeByName(spark, "house", 0.01))
+  private lazy val avocado = new Fixture(Runner.lakeByName(spark, "avocado", 0.01))
+  private lazy val mental = new Fixture(Runner.lakeByName(spark, "mental", 0.01))
 
   private def bits(m: Map[String, Double]): Map[String, Long] =
     m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) }

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.lake.DataLake
 
 /** End-to-end MODis runs on a tiny real lake: Spark materialization, real
   * model training, surrogate estimation — qualitative properties only
@@ -9,7 +8,7 @@ import repro.lake.DataLake
   */
 class ModisEndToEndSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
     .calibrated(uni.materialize(State.full(uni.layout.width)))

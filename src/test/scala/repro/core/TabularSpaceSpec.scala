@@ -1,11 +1,10 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.lake.DataLake
 
 class TabularSpaceSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.movie(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "movie", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
     .calibrated(uni.materialize(State.full(uni.layout.width)))

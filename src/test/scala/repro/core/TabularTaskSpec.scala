@@ -1,25 +1,32 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.lake.DataLake
 
 class TabularTaskSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.house(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
   private lazy val fullDf = uni.materialize(State.full(uni.layout.width))
 
   test("task assignment follows the paper's table") {
-    assert(TabularTask.forLake(DataLake.movie(spark, 0.01)).modelKind == ModelKind.GBM)
+    assert(TabularTask.forLake(Runner.lakeByName(spark, "movie", 0.01)).modelKind == ModelKind.GBM)
     assert(task.modelKind == ModelKind.RF)
-    assert(TabularTask.forLake(DataLake.avocado(spark, 0.01)).modelKind == ModelKind.Ridge)
-    assert(TabularTask.forLake(DataLake.mental(spark, 0.01)).modelKind == ModelKind.GBM)
+    assert(TabularTask.forLake(Runner.lakeByName(spark, "avocado", 0.01)).modelKind == ModelKind.Ridge)
+    assert(TabularTask.forLake(Runner.lakeByName(spark, "mental", 0.01)).modelKind == ModelKind.GBM)
   }
 
   test("unknown lake name is rejected") {
     intercept[IllegalArgumentException](
       TabularTask.forLake(lake.copy(name = "nope")))
+  }
+
+  test("lakeByName, primaryMeasure and forLake reject an unknown name with one error") {
+    val errors = Seq(
+      intercept[IllegalArgumentException](Runner.lakeByName(spark, "nope", 0.01)),
+      intercept[IllegalArgumentException](Runner.primaryMeasure("nope")),
+      intercept[IllegalArgumentException](TabularTask.forLake(lake.copy(name = "nope"))))
+    assert(errors.map(_.getMessage).distinct == Seq("unknown lake nope"))
   }
 
   test("evaluation produces classification metrics for house") {
@@ -31,7 +38,7 @@ class TabularTaskSpec extends SparkSpec {
   }
 
   test("evaluation produces regression metrics for movie") {
-    val ml = DataLake.movie(spark, 0.01)
+    val ml = Runner.lakeByName(spark, "movie", 0.01)
     val mu = Universal.build(ml)
     val mt = TabularTask.forLake(ml)
     val r = mt.evaluate(mu.materialize(State.full(mu.layout.width))).get

@@ -4,11 +4,11 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.Oracle
-import repro.lake.{DataLake, LakeTable, TabularLake}
+import repro.lake.{LakeTable, TabularLake}
 
 class UniversalSpec extends SparkSpec {
 
-  private lazy val lake = DataLake.movie(spark, sf = 0.01)
+  private lazy val lake = Runner.lakeByName(spark, "movie", 0.01)
   private lazy val uni = Universal.build(lake)
 
   test("universal table preserves every labelled base row") {

@@ -2,11 +2,12 @@ package repro.lake
 
 import repro.SparkSpec
 import repro.Oracle
+import repro.core.Runner
 
 class DataLakeSpec extends SparkSpec {
 
-  private lazy val movie = DataLake.movie(spark, sf = 0.01)
-  private lazy val house = DataLake.house(spark, sf = 0.01)
+  private lazy val movie = Runner.lakeByName(spark, "movie", 0.01)
+  private lazy val house = Runner.lakeByName(spark, "house", 0.01)
 
   test("base table has key, target and segment attrs") {
     val cols = movie.base.df.columns.toSet
@@ -58,8 +59,8 @@ class DataLakeSpec extends SparkSpec {
   }
 
   test("generation is deterministic") {
-    val a = DataLake.movie(spark, sf = 0.01).base.df.collect().map(_.toString).sorted.toSeq
-    val b = DataLake.movie(spark, sf = 0.01).base.df.collect().map(_.toString).sorted.toSeq
+    val a = Runner.lakeByName(spark, "movie", 0.01).base.df.collect().map(_.toString).sorted.toSeq
+    val b = Runner.lakeByName(spark, "movie", 0.01).base.df.collect().map(_.toString).sorted.toSeq
     assert(a == b)
   }
 
@@ -68,8 +69,8 @@ class DataLakeSpec extends SparkSpec {
   }
 
   test("all four lakes build at test scale") {
-    Seq(DataLake.movie(spark, 0.01), DataLake.house(spark, 0.01),
-      DataLake.avocado(spark, 0.01), DataLake.mental(spark, 0.01)).foreach { l =>
+    Seq(Runner.lakeByName(spark, "movie", 0.01), Runner.lakeByName(spark, "house", 0.01),
+      Runner.lakeByName(spark, "avocado", 0.01), Runner.lakeByName(spark, "mental", 0.01)).foreach { l =>
       assert(l.base.df.count() >= 200)
       assert(l.aux.nonEmpty && l.distractors.nonEmpty)
     }
