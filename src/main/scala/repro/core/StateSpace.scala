@@ -22,12 +22,11 @@ trait StateSpace {
     */
   protected def backStartFrom(attrs: Seq[String]): State = {
     var s = attrs.foldLeft(State.empty(layout.width))((t, a) => t.set(layout.attrIdx(a)))
-    for (seg <- layout.segAttrs) {
-      val bits = layout.clusters.collect { case (a, c) if a == seg => layout.clusterIdx(a, c) }
+    for (bits <- layout.segBits) {
       val without = bits.foldLeft(full)(_.clear(_))
       s = s.set(bits.maxBy(b => rowCountEstimate(without.set(b))))
     }
-    val rest = (layout.attrs.size until layout.width).filterNot(s(_)).iterator
+    val rest = layout.segBits.flatten.filterNot(s(_)).iterator
     while (evaluate(s).isEmpty && rest.hasNext) s = s.set(rest.next())
     s
   }
@@ -44,8 +43,7 @@ trait StateSpace {
     * column and at least one unmasked cluster per segment attribute.
     */
   def admissible(s: State): Boolean =
-    layout.attrsOf(s).nonEmpty &&
-      layout.segAttrs.forall(a => layout.clustersOf(s, a).nonEmpty)
+    layout.attrsOf(s).nonEmpty && layout.segBits.forall(_.exists(s(_)))
 
   /** Exact valuation: materialize and train the task model. None when the
     * dataset is unusable (too small / single-class).

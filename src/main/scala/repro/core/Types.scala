@@ -32,27 +32,34 @@ object State {
   def empty(width: Int): State = State(BitSet.empty, width)
 }
 
-/** Index layout of the bitmap: attribute bits first, then cluster bits
-  * (flattened per segment attribute).
+/** Index layout of the bitmap: attribute bits first, then each segment
+  * attribute's k cluster bits, consecutive, in segment order. Each segment
+  * attribute is declared once, with its cluster count k.
   */
-final case class BitLayout(attrs: Vector[String], clusters: Vector[(String, Int)]) {
-  val width: Int = attrs.size + clusters.size
+final case class BitLayout(attrs: Vector[String], segments: Vector[(String, Int)]) {
+  /** The segment attributes, in layout order. */
+  val segAttrs: Vector[String] = segments.map(_._1)
+
+  /** Each segment's cluster bits, in [[segAttrs]] order: cluster c of segment i is bit `segBits(i)(c)`. */
+  val segBits: Vector[Range] =
+    segments.scanLeft(attrs.size until attrs.size)((r, s) => r.end until r.end + s._2).tail
+  val width: Int = segBits.lastOption.fold(attrs.size)(_.end)
   private val attrIdxMap = attrs.zipWithIndex.toMap
-  private val clusterIdxMap = clusters.zipWithIndex.map { case (c, i) => (c, attrs.size + i) }.toMap
+  private val segIdx = segAttrs.zipWithIndex.toMap
 
   def attrIdx(a: String): Int = attrIdxMap(a)
-  def clusterIdx(attr: String, c: Int): Int = clusterIdxMap((attr, c))
+
+  /** Bit of cluster `c` of `seg`; throws for an unknown segment or a cluster outside [0, k). */
+  def clusterIdx(seg: String, c: Int): Int = segBits(segIdx(seg))(c)
 
   /** Attributes kept by a state. */
   def attrsOf(s: State): Vector[String] = attrs.zipWithIndex.collect { case (a, i) if s(i) => a }
 
   /** Unmasked cluster ids of one segment attribute. */
-  def clustersOf(s: State, segAttr: String): Set[Int] =
-    clusters.zipWithIndex.collect {
-      case ((a, c), i) if a == segAttr && s(attrs.size + i) => c
-    }.toSet
-
-  def segAttrs: Vector[String] = clusters.map(_._1).distinct
+  def clustersOf(s: State, seg: String): Set[Int] = {
+    val bits = segBits(segIdx(seg))
+    bits.filter(s(_)).map(_ - bits.start).toSet
+  }
 }
 
 /** Result of exactly evaluating a state's dataset: the raw metric map (what

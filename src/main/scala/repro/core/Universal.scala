@@ -38,10 +38,9 @@ final case class UniversalTable(
 
   /** Row predicate of a state over D_U (cluster membership per segment). */
   def rowPredicate(s: State): Column =
-    layout.segAttrs.foldLeft(lit(true)) { (acc, seg) =>
+    layout.segments.foldLeft(lit(true)) { case (acc, (seg, k)) =>
       val allowed = layout.clustersOf(s, seg)
-      val total = clusterings(seg).k
-      if (allowed.size == total) acc
+      if (allowed.size == k) acc
       else if (allowed.isEmpty) acc && lit(false)
       else acc && col(hiddenCol(seg)).isin(allowed.toSeq: _*)
     }
@@ -53,15 +52,12 @@ final case class UniversalTable(
   lazy val segCounts: Map[Vector[Int], Long] =
     driverCopy.keys.indices.groupMapReduce(r => driverCopy.clusterIds.map(_(r)).toVector)(_ => 1L)(_ + _)
 
-  // Bit index of each cluster of each segment attribute, in layout.segAttrs order.
-  private lazy val clusterBits: Array[Array[Int]] =
-    layout.segAttrs.map(seg => Array.tabulate(clusterings(seg).k)(layout.clusterIdx(seg, _))).toArray
-
   private lazy val combos: Array[(Array[Int], Long)] =
     segCounts.iterator.map { case (combo, c) => (combo.toArray, c) }.toArray
 
   /** One allowed-cluster mask per segment attribute (layout.segAttrs order). */
-  private def allowed(s: State): Array[Array[Boolean]] = clusterBits.map(_.map(s(_)))
+  private def allowed(s: State): Array[Array[Boolean]] =
+    layout.segBits.iterator.map(bits => Array.tabulate(bits.size)(c => s(bits.start + c))).toArray
 
   /** Exact row count of a state's dataset, from the contingency table. */
   def rowCount(s: State): Long = {
@@ -159,8 +155,7 @@ object Universal {
       df = df.withColumn(s"__cl_$a", expr.cast("int"))
     }
 
-    val clusterBits = segAttrs.flatMap(a => (0 until clusterings(a).k).map(c => (a, c)))
-    UniversalTable(df, lake.key, lake.target, BitLayout(attrs, clusterBits), clusterings,
-      DriverCopy(keys, f.y, cols, ids))
+    val layout = BitLayout(attrs, segAttrs.map(a => a -> clusterings(a).k))
+    UniversalTable(df, lake.key, lake.target, layout, clusterings, DriverCopy(keys, f.y, cols, ids))
   }
 }

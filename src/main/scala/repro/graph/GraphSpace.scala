@@ -13,7 +13,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
 
   override val layout: BitLayout = BitLayout(
     attrs = lake.featureGroups,
-    clusters = (0 until lake.nEdgeClusters).map(c => ("edge", c)).toVector)
+    segments = Vector("edge" -> lake.nEdgeClusters))
 
   /** Search measures: P5 restricted to one of each family (P@5, R@10,
     * NDCG@10, as Table 3's p_Pc(n)/p_Rc(n)/p_Nc(n)); all six are reported.
@@ -28,7 +28,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
     * embeddings alone), but need at least one edge cluster.
     */
   override def admissible(s: State): Boolean =
-    layout.segAttrs.forall(a => layout.clustersOf(s, a).nonEmpty)
+    layout.segBits.forall(_.exists(s(_)))
 
   /** BackSt from the first feature group. */
   override lazy val backStart: State = backStartFrom(lake.featureGroups.take(1))

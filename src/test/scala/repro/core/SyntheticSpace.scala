@@ -14,7 +14,7 @@ final class SyntheticSpace(
 
   override val layout: BitLayout = BitLayout(
     attrs = Vector("a0", "a1", "a2", "a3", "a4", "a5"),
-    clusters = Vector(("seg", 0), ("seg", 1), ("seg", 2)))
+    segments = Vector("seg" -> 3))
 
   private val clusterSizes = Map(0 -> 50L, 1 -> 30L, 2 -> 20L)
 

@@ -6,7 +6,7 @@ class TypesSpec extends AnyFunSuite {
 
   private val layout = BitLayout(
     attrs = Vector("a", "b", "c"),
-    clusters = Vector(("s1", 0), ("s1", 1), ("s2", 0), ("s2", 1), ("s2", 2)))
+    segments = Vector("s1" -> 2, "s2" -> 3))
 
   test("layout width is attrs + clusters") { assert(layout.width == 8) }
 
@@ -15,6 +15,12 @@ class TypesSpec extends AnyFunSuite {
     assert(layout.attrIdx("c") == 2)
     assert(layout.clusterIdx("s1", 0) == 3)
     assert(layout.clusterIdx("s2", 2) == 7)
+  }
+
+  test("clusterIdx rejects a cluster past its segment's k and an unknown segment") {
+    intercept[IndexOutOfBoundsException](layout.clusterIdx("s1", 2))
+    intercept[IndexOutOfBoundsException](layout.clusterIdx("s2", -1))
+    intercept[NoSuchElementException](layout.clusterIdx("s3", 0))
   }
 
   test("segAttrs lists each segment once, in order") {
