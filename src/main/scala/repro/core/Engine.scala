@@ -160,45 +160,45 @@ private[core] object ModisEngine {
     alpha * (1 - Stats.cosine(a._1.toVector, b._1.toVector)) / 2.0 +
       (1 - alpha) * Stats.euclid(a._2, b._2) / eucMax
 
-  def div(set: Seq[(State, Array[Double])], alpha: Double, eucMax: Double): Double = {
+  def div(set: Seq[(State, Array[Double])], alpha: Double, eucMax: Double): Double =
+    sumPairs(set.size)((i, j) => dis(set(i), set(j), alpha, eucMax))
+
+  // sum of d(i, j) over the pairs i < j of 0 until n, in div's order
+  private def sumPairs(n: Int)(d: (Int, Int) => Double): Double = {
     var s = 0.0
-    for (i <- set.indices; j <- i + 1 until set.size) s += dis(set(i), set(j), alpha, eucMax)
+    for (i <- 0 until n; j <- i + 1 until n) s += d(i, j)
     s
   }
 
   /** Greedy selection-and-replace k-subset maximizing div (¼-approximation
-    * per Lemma 5).
+    * per Lemma 5), run on indices into `pool`.
     */
   def diversify(pool: Vector[(State, Array[Double])], k: Int, alpha: Double,
                 rng: Random): Vector[(State, Array[Double])] = {
     if (pool.size <= k) return pool
-    val eucMax = {
-      var m = 1e-9
-      for (i <- pool.indices; j <- i + 1 until pool.size)
-        m = math.max(m, Stats.euclid(pool(i)._2, pool(j)._2))
-      m
-    }
-    var cur = rng.shuffle(pool).take(k)
-    var score = div(cur, alpha, eucMax)
+    val p = pool.size
+    var eucMax = 1e-9
+    for (i <- 0 until p; j <- i + 1 until p) eucMax = math.max(eucMax, Stats.euclid(pool(i)._2, pool(j)._2))
+    // each pair's dis once (it is symmetric bit for bit); div sums them in set order
+    val d = Array.ofDim[Double](p, p)
+    for (i <- 0 until p; j <- i + 1 until p) { d(i)(j) = dis(pool(i), pool(j), alpha, eucMax); d(j)(i) = d(i)(j) }
+    def divOf(c: IndexedSeq[Int]): Double = sumPairs(c.size)((i, j) => d(c(i))(c(j)))
+    var cur = rng.shuffle(pool.indices.toVector).take(k)
+    var score = divOf(cur)
     var improved = true
-    var passes = 0
-    while (improved && passes < 40) {
-      improved = false
-      passes += 1
-      // evaluate all swaps against the *current* set, apply the best one —
-      // mutating cur mid-scan would let stale `out` values grow the set
-      var best: Option[((State, Array[Double]), (State, Array[Double]), Double)] = None
-      for (out <- cur; in <- pool if !cur.contains(in)) {
-        val s = div(cur.filterNot(_ == out) :+ in, alpha, eucMax)
-        if (s > score + 1e-12 && best.forall(_._3 < s)) best = Some((out, in, s))
+    for (_ <- 0 until 40 if improved) {
+      // evaluate all swaps against the *current* set, apply the first best one —
+      // mutating cur mid-scan would let stale `out` positions grow the set
+      var (top, next) = (score + 1e-12, cur)
+      for (out <- cur.indices; in <- pool.indices if !cur.contains(in)) {
+        val c = cur.patch(out, Nil, 1) :+ in
+        val s = divOf(c)
+        if (s > top) { top = s; next = c }
       }
-      best.foreach { case (out, in, s) =>
-        cur = cur.filterNot(_ == out) :+ in
-        score = s
-        improved = true
-      }
+      improved = next ne cur
+      if (improved) { cur = next; score = top }
     }
-    cur
+    cur.map(pool)
   }
 }
 
