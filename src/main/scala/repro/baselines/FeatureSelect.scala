@@ -20,25 +20,29 @@ object FeatureSelect {
 
   /** SkSFM: GBM importances ≥ mean importance. */
   def skSFM(sU: Frame, task: TabularTask): Vector[String] = {
-    val frame = sU.imputed(sU.columnMeans)
+    val x = imputed(sU)
     val importances =
       if (task.lake.classification)
-        new GBMClassifier(nTrees = 30).fit(frame.x, frame.y).importances
+        new GBMClassifier(nTrees = 30).fit(x, sU.y).importances
       else
-        new GBMRegressor(nTrees = 30).fit(frame.x, frame.y).importances
-    atLeastMean(frame.names, importances)
+        new GBMRegressor(nTrees = 30).fit(x, sU.y).importances
+    atLeastMean(sU.names, importances)
   }
 
   /** H2O-style: standardized linear-model coefficients ≥ mean |coef|. */
   def h2o(sU: Frame, task: TabularTask): Vector[String] = {
-    val frame = sU.imputed(sU.columnMeans)
+    val x = imputed(sU)
     val coefs =
       if (task.lake.classification)
-        new LogisticRegressionModel().fit(frame.x, frame.y).coefficients
+        new LogisticRegressionModel().fit(x, sU.y).coefficients
       else
-        new RidgeRegression().fit(frame.x, frame.y).coefficients
-    atLeastMean(frame.names, coefs.map(math.abs))
+        new RidgeRegression().fit(x, sU.y).coefficients
+    atLeastMean(sU.names, coefs.map(math.abs))
   }
+
+  /** Every row of s_U, NaN replaced by its column's mean. */
+  private def imputed(sU: Frame): Array[Array[Double]] =
+    sU.imputedRows(Array.range(0, sU.nRows), sU.columnMeans(Array.range(0, sU.nRows)))
 
   /** The names weighing at least the mean weight, in order; else the first name. */
   private def atLeastMean(names: Vector[String], weights: Array[Double]): Vector[String] = {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{State, TabularTask, UniversalTable}
+import repro.core.{TabularTask, UniversalTable}
 import repro.lake.LakeTable
 
 /** METAM [Galhotra et al., ICDE'23] — goal-oriented data discovery: greedily
@@ -9,8 +9,8 @@ import repro.lake.LakeTable
   * measures into one linear weighted utility.
   *
   * The candidates are the lake's key-sharing aux tables. D_U already
-  * left-joins each of them onto the base, so every augmented table is a cut
-  * of D_U's driver copy over all its rows. Utilities are the task's
+  * left-joins each of them onto the base, so every augmented table is a
+  * projection of D_U's driver copy over all its rows. Utilities are the task's
   * *normalized minimized* measures, so "improves" means the utility value
   * decreases.
   */
@@ -31,11 +31,8 @@ object Metam {
   private def greedy(u: UniversalTable, task: TabularTask,
                      score: Map[String, Double] => Double): Vector[String] = {
     val lake = task.lake
-    val everyRow = u.rowIndices(State.full(u.layout.width))
-    def evalScore(attrs: Vector[String]): Option[Double] = {
-      val (ids, frame) = u.cut(attrs, everyRow)
-      task.evaluate(ids, frame).map(r => score(r.raw))
-    }
+    def evalScore(attrs: Vector[String]): Option[Double] =
+      task.evaluate(u.driverCopy.keys, u.project(attrs)).map(r => score(r.raw))
     // join the best remaining candidate while it improves the score
     def grow(current: Vector[String], currentScore: Double, remaining: Seq[LakeTable]): Vector[String] = {
       val scored = remaining.flatMap(t => evalScore(current ++ lake.attrsOf(t)).map(t -> _))

@@ -30,23 +30,22 @@ object Runner {
                         cfg: ModisConfig): Vector[MethodReport] = {
     val lake = lakeByName(spark, lakeName, sf)
     val universal = Universal.build(lake)
-    val everyRow = universal.rowIndices(State.full(universal.layout.width))
+    val keys = universal.driverCopy.keys
     // s_U is D_U itself: one driver-side evaluation calibrates and gives the Original row
-    val (ids, data) = universal.cut(universal.layout.attrs, everyRow)
+    val data = universal.project(universal.layout.attrs)
     val task0 = TabularTask.forLake(lake)
-    val sU = task0.evaluate(ids, data).getOrElse(
+    val sU = task0.evaluate(keys, data).getOrElse(
       throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
     val task = task0.calibrated(sU)
     val primary = primaryMeasure(lakeName)
     val primaryIdx = task.measureNames.indexOf(primary)
 
-    // each baseline outputs attributes of D_U over all its rows, cut from the driver copy
+    // each baseline outputs attributes of D_U over all its rows, evaluated on the driver copy
     def report(name: String, baseline: => Vector[String]): MethodReport = {
       val t0 = System.nanoTime()
       val attrs = baseline
       val secs = (System.nanoTime() - t0) / 1e9
-      val (keys, frame) = universal.cut(attrs, everyRow)
-      val r = task.evaluate(keys, frame).getOrElse(
+      val r = task.evaluate(keys, universal.project(attrs)).getOrElse(
         throw new IllegalStateException(s"$name produced an unusable table for $lakeName"))
       MethodReport(name, r.raw, r.rows, r.cols, secs)
     }

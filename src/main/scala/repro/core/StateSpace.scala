@@ -86,10 +86,9 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
   /** BackSt from the base table's own attributes. */
   override lazy val backStart: State = backStartFrom(task.lake.attrsOf(task.lake.base))
 
-  // No Spark job per state: rows and columns come from D_U's driver copy.
+  // No Spark job and no cut per state: the task reads the state's rows in place in D_U's driver copy.
   override def evaluate(s: State): Option[EvalResult] = cached(s) {
-    val (ids, data) = universal.driverRows(s)
-    task.evaluate(ids, data)
+    task.evaluate(universal.driverCopy.keys, universal.project(layout.attrsOf(s)), universal.rowIndices(s))
   }
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)

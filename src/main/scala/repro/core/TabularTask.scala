@@ -49,39 +49,42 @@ final class TabularTask(
 
   /** Evaluate a Spark table: collect it in key order and hand it to the
     * shared evaluation below. This is the Spark entry the benchmark and the
-    * tests use; the program itself cuts every dataset it evaluates (the
-    * search's states, Runner's s_U and the baselines' outputs) from the
+    * tests use; the program itself evaluates every dataset (the search's
+    * states, Runner's s_U and the baselines' outputs) in place on the
     * driver copy of D_U.
     */
   def evaluate(df: DataFrame): Option[EvalResult] = {
-    val (ids, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)
-    evaluate(ids, data)
+    val (keys, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)
+    evaluate(keys, data)
   }
 
-  /** Evaluate a dataset held in the driver: row `i` has key `ids(i)`, label
-    * `data.y(i)` and features `data.x(i)` (NaN = missing), rows in key
-    * order. None when it is too small to train or (classification) misses a
-    * class in the train split.
-    */
-  def evaluate(ids: Array[Long], data: Frame): Option[EvalResult] = {
-    val Frame(featCols, x, y) = data
-    val n = ids.length
-    if (featCols.isEmpty || n < MinRows) return None
-    val testMask = ids.map(_ % 5 == 0)
-    val trIdx = (0 until n).filterNot(testMask(_)).toArray
-    val teIdx = (0 until n).filter(testMask(_)).toArray
-    if (trIdx.length < MinRows / 2 || teIdx.length < 10) return None
-    if (lake.classification) {
-      val trLabels = trIdx.map(y).toSet
-      if (trLabels.size < 2) return None
-    }
+  /** Evaluate every row of a dataset held in the driver. */
+  def evaluate(keys: Array[Long], data: Frame): Option[EvalResult] =
+    evaluate(keys, data, Array.range(0, data.nRows))
 
-    // mean-impute every row once, with train-split statistics
-    val allX = data.imputed(Frame(featCols, trIdx.map(x), trIdx.map(y)).columnMeans).x
-    val xtr = trIdx.map(allX)
-    val ytr = trIdx.map(y)
-    val xte = teIdx.map(allX)
-    val yte = teIdx.map(y)
+  /** Evaluate the increasing `rows` of a dataset held in the driver: row `r`
+    * has key `keys(r)`, label `data.y(r)` and features `data.cols(_)(r)`
+    * (NaN = missing). The rows are gathered once, mean-imputed with
+    * train-split statistics, and the fit, the predictions and the Fisher
+    * and MI scores all read that one gather. None when the rows are too few
+    * to train or (classification) the train split misses a class.
+    */
+  def evaluate(keys: Array[Long], data: Frame, rows: Array[Int]): Option[EvalResult] = {
+    val n = rows.length
+    if (data.nCols == 0 || n < MinRows) return None
+    // positions in `rows`, split on the key hash
+    val isTest = rows.map(keys(_) % 5 == 0)
+    val trPos = (0 until n).filterNot(isTest(_)).toArray
+    val tePos = (0 until n).filter(isTest(_)).toArray
+    if (trPos.length < MinRows / 2 || tePos.length < 10) return None
+    val y = rows.map(data.y)
+    if (lake.classification && trPos.map(y).toSet.size < 2) return None
+
+    val x = data.imputedRows(rows, data.columnMeans(trPos.map(rows)))
+    val xtr = trPos.map(x)
+    val ytr = trPos.map(y)
+    val xte = tePos.map(x)
+    val yte = tePos.map(y)
 
     val t0 = System.nanoTime()
     val scoreFn: Array[Double] => Double = modelKind match {
@@ -115,12 +118,12 @@ final class TabularTask(
     // both scan every row, so only tasks whose measures use them compute them
     if (measureNames.exists(m => m == "fsc" || m == "mi")) {
       val yBin = if (lake.classification) y else Metrics.binarizeAtMedian(y)
-      raw += "fsc" -> Metrics.fisherScore(allX, yBin)
-      raw += "mi" -> Metrics.mutualInformation(allX, yBin)
+      raw += "fsc" -> Metrics.fisherScore(x, yBin)
+      raw += "mi" -> Metrics.mutualInformation(x, yBin)
     }
 
     val norm = measureNames.map(m => normalize(m, raw.toMap)).toArray
-    Some(EvalResult(raw.toMap, norm, rows = n, cols = featCols.length))
+    Some(EvalResult(raw.toMap, norm, rows = n, cols = data.nCols))
   }
 
   /** Normalized, minimized value of one measure given the raw metric map. */

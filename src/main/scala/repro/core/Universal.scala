@@ -12,8 +12,9 @@ import repro.util.KMeans1D
   * as hidden `__cl_<attr>` columns so reduct literals become cheap cluster
   * filters.
   *
-  * The search's states and the baselines' outputs are cut from
-  * [[driverCopy]], D_U collected into the driver once at build;
+  * The search's states and the baselines' outputs are evaluated in place
+  * on [[driverCopy]], D_U collected into the driver once at build, as a
+  * [[project]]ion of its columns and a state's [[rowIndices]];
   * [[materialize]] stays the Spark reference the oracle checks. `df` is
   * not cached: each Spark job over it re-runs the join.
   */
@@ -90,20 +91,14 @@ final case class UniversalTable(
     java.util.Arrays.copyOf(out, m)
   }
 
-  /** The listed attributes of the given rows of [[driverCopy]], as
-    * `Frame.collect` gives them for a table of exactly those rows and
-    * columns when `rows` is increasing (key order): the keys, and the
-    * target and attributes in list order. Runs no Spark job.
+  /** The listed attributes of [[driverCopy]] with its target, over all its
+    * rows: references to its columns, no copy. With [[rowIndices]] and
+    * `driverCopy.keys` it is what `TabularTask.evaluate` takes for a state;
+    * for a state's rows it holds what `Frame.collect` gives for
+    * `materialize(s)`. Runs no Spark job.
     */
-  def cut(attrs: Seq[String], rows: Array[Int]): (Array[Long], Frame) = {
-    val cols = attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray
-    (rows.map(driverCopy.keys), Frame(attrs.toVector, rows.map(r => cols.map(_(r))), rows.map(driverCopy.target)))
-  }
-
-  /** A state's dataset from [[driverCopy]], as `Frame.collect` gives it for
-    * `materialize(s)`.
-    */
-  def driverRows(s: State): (Array[Long], Frame) = cut(layout.attrsOf(s), rowIndices(s))
+  def project(attrs: Seq[String]): Frame =
+    Frame(attrs.toVector, attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray, driverCopy.target)
 }
 
 /** D_U collected into the driver, one array per column, rows in key order:
@@ -135,16 +130,15 @@ object Universal {
     val (keys, f) = Frame.collect(df, lake.key, lake.target, attrs)
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate ${lake.key} values")
-    val cols = Array.tabulate(f.nCols)(j => f.x.map(_(j)))
 
     val segAttrs = lake.segmentAttrs.toVector
     val clusterings = segAttrs.map { a =>
-      val v = cols(attrs.indexOf(a))
+      val v = f.cols(attrs.indexOf(a))
       // Frame.collect reads null as NaN; neither has a cluster
       require(!v.exists(_.isNaN), s"segment attribute $a has nulls or NaN in D_U; no cluster covers them")
       a -> KMeans1D.fit(v, MaxK)
     }.toMap
-    val ids = segAttrs.map(a => cols(attrs.indexOf(a)).map(clusterings(a).assign)).toArray
+    val ids = segAttrs.map(a => f.cols(attrs.indexOf(a)).map(clusterings(a).assign)).toArray
 
     // hidden cluster-id columns via boundary CASE chains (pure Catalyst)
     for (a <- segAttrs) {
@@ -156,6 +150,6 @@ object Universal {
     }
 
     val layout = BitLayout(attrs, segAttrs.map(a => a -> clusterings(a).k))
-    UniversalTable(df, lake.key, lake.target, layout, clusterings, DriverCopy(keys, f.y, cols, ids))
+    UniversalTable(df, lake.key, lake.target, layout, clusterings, DriverCopy(keys, f.y, f.cols, ids))
   }
 }

@@ -3,46 +3,39 @@ package repro.ml
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 
-/** A small in-driver feature matrix with a label column — the shape every
-  * model in the paper's evaluation trains on (their pipeline collects the
+/** A small in-driver table, column-major: one array per feature and the
+  * label column `y`, all of `y`'s length. Every model in the paper's
+  * evaluation trains on such a table (their pipeline collects the
   * discovered table into pandas/sklearn; ours collects it with
-  * [[Frame.collect]] or cuts it from the driver copy of D_U).
+  * [[Frame.collect]], or reads a state's rows out of D_U's driver copy).
   *
-  * Missing values (nulls from outer joins) arrive as NaN and are
-  * mean-imputed by [[Frame.imputed]] before training.
+  * Missing values (nulls from outer joins) arrive as NaN. A fit takes
+  * [[columnMeans]] over its train rows and gathers its rows with
+  * [[imputedRows]], the one copy of a dataset's cells before the fit.
   */
-final case class Frame(names: Vector[String], x: Array[Array[Double]], y: Array[Double]) {
-  require(x.length == y.length, "Frame: row count mismatch")
-  def nRows: Int = x.length
+final case class Frame(names: Vector[String], cols: Array[Array[Double]], y: Array[Double]) {
+  require(cols.length == names.length && cols.forall(_.length == y.length), "Frame: column length mismatch")
+  def nRows: Int = y.length
   def nCols: Int = names.length
 
-  /** Column means ignoring NaN (0.0 for all-NaN columns). */
-  def columnMeans: Array[Double] = {
-    val sums = new Array[Double](nCols)
-    val cnts = new Array[Long](nCols)
+  /** Each column's mean over the given rows, summed in their order, ignoring
+    * NaN (0.0 when every value is NaN).
+    */
+  def columnMeans(rows: Array[Int]): Array[Double] = cols.map { c =>
+    var sum = 0.0
+    var cnt = 0L
     var i = 0
-    while (i < nRows) {
-      var j = 0
-      while (j < nCols) {
-        val v = x(i)(j)
-        if (!v.isNaN) { sums(j) += v; cnts(j) += 1 }
-        j += 1
-      }
+    while (i < rows.length) {
+      val v = c(rows(i))
+      if (!v.isNaN) { sum += v; cnt += 1 }
       i += 1
     }
-    Array.tabulate(nCols)(j => if (cnts(j) == 0) 0.0 else sums(j) / cnts(j))
+    if (cnt == 0) 0.0 else sum / cnt
   }
 
-  /** Replace NaN cells with the given per-column fill values. */
-  def imputed(fill: Array[Double]): Frame = {
-    val nx = Array.tabulate(nRows) { i =>
-      Array.tabulate(nCols) { j =>
-        val v = x(i)(j)
-        if (v.isNaN) fill(j) else v
-      }
-    }
-    copy(x = nx)
-  }
+  /** The given rows as row vectors, each NaN cell replaced by its column's fill value. */
+  def imputedRows(rows: Array[Int], fill: Array[Double]): Array[Array[Double]] =
+    rows.map(r => Array.tabulate(nCols) { j => val v = cols(j)(r); if (v.isNaN) fill(j) else v })
 }
 
 object Frame {
@@ -57,7 +50,7 @@ object Frame {
     val cols = features.filterNot(c => c == key || c == label).toVector
     val rows = df.select((key +: label +: cols).map(col): _*).collect().sortBy(_.getLong(0))
     (rows.map(_.getLong(0)),
-      Frame(cols, rows.map(r => Array.tabulate(cols.length)(j => doubleAt(r, j + 2))), rows.map(doubleAt(_, 1))))
+      Frame(cols, Array.tabulate(cols.length)(j => rows.map(doubleAt(_, j + 2))), rows.map(doubleAt(_, 1))))
   }
 
   /** Cell `i` of a collected row as a Double, null as NaN. */

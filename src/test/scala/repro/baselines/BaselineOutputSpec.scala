@@ -20,10 +20,9 @@ class BaselineOutputSpec extends SparkSpec {
     val lake: TabularLake = Runner.lakeByName(spark, name, 0.01)
     val uni: UniversalTable = Universal.build(lake)
     private val full = State.full(uni.layout.width)
-    private val everyRow = uni.rowIndices(full)
-    private val (ids, sU) = uni.cut(uni.layout.attrs, everyRow)
+    private val sU = uni.project(uni.layout.attrs)
     private val task0 = TabularTask.forLake(lake)
-    val task: TabularTask = task0.calibrated(task0.evaluate(ids, sU).get)
+    val task: TabularTask = task0.calibrated(task0.evaluate(uni.driverCopy.keys, sU).get)
 
     lazy val lists: Map[String, Vector[String]] = Map(
       "METAM" -> Metam.run(uni, task, Runner.primaryMeasure(name)),
@@ -33,7 +32,7 @@ class BaselineOutputSpec extends SparkSpec {
       "H2O" -> FeatureSelect.h2o(sU, task))
 
     /** The listed attributes over every row of D_U's driver copy. */
-    def cut(attrs: Vector[String]): (Array[Long], Frame) = uni.cut(attrs, everyRow)
+    def cut(attrs: Vector[String]): (Array[Long], Frame) = (uni.driverCopy.keys, uni.project(attrs))
 
     /** The baseline's output as Spark builds it: the base left-joined with
       * the aux tables the list draws on, in the list's order (METAM,

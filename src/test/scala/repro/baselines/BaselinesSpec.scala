@@ -2,22 +2,19 @@ package repro.baselines
 
 import org.apache.spark.sql.functions.udf
 import repro.SparkSpec
-import repro.core.{EvalResult, Runner, State, TabularTask, Universal, UniversalTable}
+import repro.core.{EvalResult, Runner, TabularTask, Universal, UniversalTable}
 import repro.lake.LakeTable
 import repro.ml.Frame
 import repro.util.Stats
 
-/** Evaluation of a baseline's output: its attributes cut from D_U's driver
-  * copy over all rows, as Runner reports it.
+/** Evaluation of a baseline's output: its attributes of D_U's driver copy
+  * over all rows, as Runner reports it.
   */
 private object Cut {
-  def rows(uni: UniversalTable, attrs: Seq[String]): Array[Long] =
-    uni.cut(attrs, uni.rowIndices(State.full(uni.layout.width)))._1
+  def rows(uni: UniversalTable, attrs: Seq[String]): Array[Double] = uni.project(attrs).y
 
-  def evaluate(uni: UniversalTable, task: TabularTask, attrs: Seq[String]): Option[EvalResult] = {
-    val (ids, frame) = uni.cut(attrs, uni.rowIndices(State.full(uni.layout.width)))
-    task.evaluate(ids, frame)
-  }
+  def evaluate(uni: UniversalTable, task: TabularTask, attrs: Seq[String]): Option[EvalResult] =
+    task.evaluate(uni.driverCopy.keys, uni.project(attrs))
 }
 
 class MetamSpec extends SparkSpec {
@@ -66,7 +63,7 @@ class StarmieSpec extends SparkSpec {
   private lazy val uni = Universal.build(lake)
 
   test("column sketch has histogram + moment entries") {
-    val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality"))._2.x.map(_(0))
+    val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality"))._2.cols(0)
     val s = Starmie.columnSketch(vals)
     assert(s.length == Starmie.Bins + 2)
     assert(math.abs(s.take(Starmie.Bins).sum - 1.0) < 1e-6)
@@ -128,7 +125,7 @@ class FeatureSelectSpec extends SparkSpec {
   private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
   private lazy val uni = Universal.build(lake)
   private lazy val task = TabularTask.forLake(lake)
-  private lazy val sU = uni.driverRows(State.full(uni.layout.width))._2
+  private lazy val sU = uni.project(uni.layout.attrs)
 
   test("SkSFM reduces the column count") {
     val out = FeatureSelect.skSFM(sU, task)
@@ -168,7 +165,7 @@ class FeatureSelectSpec extends SparkSpec {
     val rl = Runner.lakeByName(spark, "avocado", 0.01)
     val ru = Universal.build(rl)
     val rt = TabularTask.forLake(rl)
-    val rsU = ru.driverRows(State.full(ru.layout.width))._2
+    val rsU = ru.project(ru.layout.attrs)
     assert(Cut.evaluate(ru, rt, FeatureSelect.skSFM(rsU, rt)).isDefined)
     assert(Cut.evaluate(ru, rt, FeatureSelect.h2o(rsU, rt)).isDefined)
   }

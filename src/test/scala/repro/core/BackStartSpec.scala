@@ -14,9 +14,8 @@ class BackStartSpec extends SparkSpec {
   private def tabular(name: String): State = {
     val lake = Runner.lakeByName(spark, name, 0.01)
     val uni = Universal.build(lake)
-    val (ids, sU) = uni.driverRows(State.full(uni.layout.width))
     val task0 = TabularTask.forLake(lake)
-    new TabularSpace(uni, task0.calibrated(task0.evaluate(ids, sU).get)).backStart
+    new TabularSpace(uni, task0.calibrated(task0.evaluate(uni.driverCopy.keys, uni.project(uni.layout.attrs)).get)).backStart
   }
 
   // Recorded at SF 0.01, not derived: any change is a change of behaviour.

@@ -94,20 +94,20 @@ class DriverEvaluationSpec extends SparkSpec {
     // every other attribute dropped, cluster 0 of each segment attribute masked
     val s = l.attrs.indices.filter(_ % 2 == 1).foldLeft(
       l.segAttrs.foldLeft(house.space.full)((t, seg) => t.clear(l.clusterIdx(seg, 0))))(_.clear(_))
-    val (keys, d) = u.driverRows(s)
+    val (keys, d, rows) = (u.driverCopy.keys, u.project(l.attrsOf(s)), u.rowIndices(s))
     val schema = StructType(StructField(u.key, LongType, nullable = false) +:
       StructField(u.target, DoubleType, nullable = false) +:
       d.names.map(StructField(_, DoubleType, nullable = true)))
-    val rows = keys.indices.map { i =>
-      Row.fromSeq(keys(i) +: d.y(i) +: d.x(i).toSeq.map(v => if (v.isNaN) null else v))
+    val driverRows = rows.toSeq.map { r =>
+      Row.fromSeq(keys(r) +: d.y(r) +: d.cols.toSeq.map(c => if (c(r).isNaN) null else c(r)))
     }
-    val driverDf = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    val driverDf = spark.createDataFrame(spark.sparkContext.parallelize(driverRows, 2), schema)
     val select = (s"CAST(${u.key} AS BIGINT) AS ${u.key}" +:
       (u.target +: d.names).map(c => s"CAST($c AS DOUBLE) AS $c")).mkString(", ")
     val where = l.segAttrs.map { seg =>
       s"CAST(${u.hiddenCol(seg)} AS INTEGER) IN (${l.clustersOf(s, seg).toSeq.sorted.mkString(", ")})"
     }.mkString(" AND ")
-    assert(d.x.exists(_.exists(_.isNaN)), "the state should carry outer-join nulls")
+    assert(rows.exists(r => d.cols.exists(_(r).isNaN)), "the state should carry outer-join nulls")
     Oracle.assertEquivalent(driverDf, s"SELECT $select FROM u WHERE $where",
       "u" -> u.df.select(((u.key +: u.target +: d.names) ++ l.segAttrs.map(u.hiddenCol)).map(u.df.col): _*))
   }

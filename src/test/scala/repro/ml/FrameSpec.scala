@@ -22,30 +22,63 @@ class FrameSpec extends SparkSpec {
     assert(f.nRows == 3 && f.nCols == 2)
     assert(keys.toSeq == Seq(1L, 2L, 3L))
     assert(f.y.toSeq == Seq(1.0, 0.0, 1.0))
-    assert(f.x.map(_(0)).toSeq == Seq(2.0, 4.0, 6.0))
+    assert(f.cols(0).toSeq == Seq(2.0, 4.0, 6.0))
   }
 
   test("nulls become NaN") {
     val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
-    assert(f.x(1)(1).isNaN)
+    assert(f.cols(1)(1).isNaN)
   }
 
   test("columnMeans ignores NaN") {
     val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
-    val means = f.columnMeans
+    val means = f.columnMeans(Array(0, 1, 2))
     assert(math.abs(means(0) - 4.0) < 1e-9)
     assert(math.abs(means(1) - 6.0) < 1e-9)
   }
 
   test("imputed replaces NaN with fill values") {
     val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
-    val g = f.imputed(f.columnMeans)
-    assert(!g.x.exists(_.exists(_.isNaN)))
+    val all = Array(0, 1, 2)
+    val g = f.imputedRows(all, f.columnMeans(all))
+    assert(!g.exists(_.exists(_.isNaN)))
   }
 
   test("columnMeans of all-NaN column is 0") {
-    val f = Frame(Vector("c"), Array(Array(Double.NaN), Array(Double.NaN)), Array(1.0, 2.0))
-    assert(f.columnMeans.toSeq == Seq(0.0))
+    val f = Frame(Vector("c"), Array(Array(Double.NaN, Double.NaN)), Array(1.0, 2.0))
+    assert(f.columnMeans(Array(0, 1)).toSeq == Seq(0.0))
+  }
+
+  // rows 0..4: a = 1, NaN, 3, 10, NaN; b = NaN, NaN, 5, NaN, 7
+  private val five = Frame(Vector("a", "b"),
+    Array(Array(1.0, Double.NaN, 3.0, 10.0, Double.NaN), Array(Double.NaN, Double.NaN, 5.0, Double.NaN, 7.0)),
+    Array(0.0, 1.0, 0.0, 1.0, 0.0))
+
+  test("columnMeans over a row subset reads only those rows and skips NaN") {
+    assert(five.columnMeans(Array(0, 1, 2)).toSeq == Seq(2.0, 5.0))
+    assert(five.columnMeans(Array(2, 3, 4)).toSeq == Seq(6.5, 6.0))
+  }
+
+  test("columnMeans over a row subset is 0.0 for a column that is NaN on every one of them") {
+    assert(five.columnMeans(Array(0, 1, 3)).toSeq == Seq(5.5, 0.0))
+    assert(five.columnMeans(Array(1)).toSeq == Seq(0.0, 0.0))
+  }
+
+  test("columnMeans adds a column's values in row order") {
+    // (1e16 + 1) + 1 rounds twice; 1 + 1 + 1e16 does not
+    val f = Frame(Vector("c"), Array(Array(1e16, 1.0, 1.0)), Array(0.0, 0.0, 0.0))
+    assert(f.columnMeans(Array(0, 1, 2)).head == ((1e16 + 1.0) + 1.0) / 3)
+  }
+
+  test("imputedRows gathers the given rows as row vectors, NaN replaced by the fill") {
+    val rows = five.imputedRows(Array(1, 3, 4), Array(-1.0, -2.0))
+    assert(rows.map(_.toSeq).toSeq == Seq(Seq(-1.0, -2.0), Seq(10.0, -2.0), Seq(-1.0, 7.0)))
+  }
+
+  test("imputedRows copies: the gather does not alias the columns") {
+    val g = five.imputedRows(Array(2), Array(0.0, 0.0))
+    g(0)(0) = 99.0
+    assert(five.cols(0)(2) == 3.0)
   }
 
   test("label column is excluded from features even if listed") {
