@@ -64,6 +64,12 @@ trait StateSpace {
   /** Cheap row-count proxy (no Spark job) — correlation pruning's |D|. */
   def rowCountEstimate(s: State): Long
 
+  /** Fewest rows (edges, in the graph space) a state needs to evaluate.
+    * Below it [[evaluate]] gives None, and so does the surrogate, without
+    * asking its estimator.
+    */
+  def minRows: Int = TabularTask.MinRows
+
   /** Surrogate input features for a state: bitmap ++ [row fraction, column
     * fraction] (the estimator learns performance from these).
     */

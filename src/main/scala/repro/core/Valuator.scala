@@ -47,7 +47,7 @@ final class SurrogateValuator(space: StateSpace, bootstrap: Int) extends Valuato
         v
       } else {
         if (surrogate.isEmpty) fitSurrogate()
-        if (!space.admissible(s) || space.rowCountEstimate(s) < TabularTask.MinRows) None
+        if (!space.admissible(s) || space.rowCountEstimate(s) < space.minRows) None
         else Some(surrogate.get.predict(space.features(s)).map(Stats.clip(_, 1e-3, 1.5)))
       })
 

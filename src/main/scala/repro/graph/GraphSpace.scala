@@ -36,7 +36,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
   override def evaluate(s: State): Option[EvalResult] = cached(s) {
     val clusters = layout.clustersOf(s, "edge")
     val edges = lake.edges.collect { case (u, i, c) if clusters.contains(c) => (u, i) }
-    if (edges.size < 50) None
+    if (edges.size < minRows) None
     else {
       val groups = layout.attrsOf(s)
       val (uf, itf) = lake.featuresOf(groups)
@@ -59,6 +59,9 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
       Some(EvalResult(raw, norm, rows = edges.size, cols = cols))
     }
   }
+
+  /** LightGCN needs 50 edges to train on. */
+  override def minRows: Int = 50
 
   override def rowCountEstimate(s: State): Long =
     layout.clustersOf(s, "edge").toSeq.map(c => clusterSizes.getOrElse(c, 0L)).sum

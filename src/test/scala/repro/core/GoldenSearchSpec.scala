@@ -47,16 +47,16 @@ class GoldenSearchSpec extends AnyFunSuite {
       "L[000100011](0.45999999999999996,0.125)",
       "L[000011001](0.6599999999999999,0.11000000000000001)"),
     ("ApxMODis", "surrogate") -> golden("valuated=200 explored=199 pruned=0 skyline=",
-      "L[100000011](0.3949614985059904,0.16366892425129603)",
-      "L[100001010](0.49999999999999994,0.14)",
-      "L[100100010](0.33999999999999997,0.14)",
-      "L[001000011](0.45999999999999996,0.125)",
+      "L[100000011](0.3568833225669681,0.13129509733672412)",
+      "L[100001001](0.49999999999999994,0.11000000000000001)",
+      "L[100100001](0.33999999999999997,0.11000000000000001)",
+      "L[001001001](0.4761750542728855,0.11536394945350315)",
       "L[111101011](0.14,0.425)",
       "L[110101001](0.26,0.17)",
-      "L[011100011](0.22,0.275)",
-      "L[101100011](0.1752633207162448,0.32919799329423144)",
-      "L[001000110](0.6599999999999999,0.17)",
-      "L[000001110](0.7330838467387111,0.18069905047904797)"),
+      "L[111000001](0.22,0.14)",
+      "L[101101010](0.18352604392370378,0.23267122023937184)",
+      "L[111100010](0.1,0.22999999999999998)",
+      "L[100000101](0.6599999999999999,0.155)"),
     ("NOBiMODis", "exact") -> golden("valuated=54 explored=54 pruned=0 skyline=",
       "L[110010010](0.37999999999999995,0.185)",
       "L[110000010](0.33999999999999997,0.14)",
@@ -67,16 +67,16 @@ class GoldenSearchSpec extends AnyFunSuite {
       "L[111100001](0.1,0.17)",
       "L[011101001](0.26,0.17)",
       "L[111000110](0.42000000000000004,0.41000000000000003)"),
-    ("NOBiMODis", "surrogate") -> golden("valuated=51 explored=53 pruned=0 skyline=",
-      "L[111111110](0.38,0.7700000000000001)",
+    ("NOBiMODis", "surrogate") -> golden("valuated=47 explored=47 pruned=0 skyline=",
+      "L[110010010](0.3733579582623987,0.2849564046594068)",
       "L[110000010](0.33999999999999997,0.14)",
       "L[110000110](0.54,0.29000000000000004)",
       "L[111101110](0.44029561765882885,0.24869253134816438)",
-      "L[101100010](0.22,0.185)",
-      "L[110100011](0.27807161042144735,0.2596087567638315)",
+      "L[111010010](0.26,0.22999999999999998)",
       "L[111101010](0.14,0.275)",
-      "L[111100011](0.1871367521572336,0.317692210323489)",
-      "L[111100010](0.1,0.22999999999999998)"),
+      "L[111110010](0.23441344127257904,0.19850490060851705)",
+      "L[111100010](0.1,0.22999999999999998)",
+      "L[111110011](0.1214330433167829,0.365617749126411)"),
     ("BiMODis", "exact") -> golden("valuated=8 explored=48 pruned=42 skyline=",
       "L[111111111](0.38,0.9500000000000001)",
       "L[110000010](0.33999999999999997,0.14)",
@@ -95,15 +95,15 @@ class GoldenSearchSpec extends AnyFunSuite {
       "L[111100001](0.1,0.17)",
       "L[111000110](0.42000000000000004,0.41000000000000003)",
       "L[011100001](0.22,0.14)"),
-    ("DivMODis", "surrogate") -> golden("valuated=51 explored=53 pruned=0 skyline=",
-      "L[111111110](0.38,0.7700000000000001)",
+    ("DivMODis", "surrogate") -> golden("valuated=47 explored=47 pruned=0 skyline=",
+      "L[110010010](0.3733579582623987,0.2849564046594068)",
       "L[110000010](0.33999999999999997,0.14)",
       "L[110000110](0.54,0.29000000000000004)",
       "L[111101110](0.44029561765882885,0.24869253134816438)",
       "L[111101010](0.14,0.275)",
-      "L[111100011](0.1871367521572336,0.317692210323489)",
+      "L[111110010](0.23441344127257904,0.19850490060851705)",
       "L[111100010](0.1,0.22999999999999998)",
-      "L[101100010](0.22,0.185)"))
+      "L[111110011](0.1214330433167829,0.365617749126411)"))
 
   for ((name, algo, c) <- algos; (label, bootstrap) <- Seq(("exact", Int.MaxValue), ("surrogate", 5)))
     test(s"$name under the $label valuator reproduces its golden output") {

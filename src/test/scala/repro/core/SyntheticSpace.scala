@@ -27,6 +27,8 @@ final class SyntheticSpace(
     s.set(layout.clusterIdx("seg", 1))
   }
 
+  override def minRows: Int = 20
+
   override def rowCountEstimate(s: State): Long =
     layout.clustersOf(s, "seg").toSeq.map(clusterSizes).sum
 
@@ -44,7 +46,7 @@ final class SyntheticSpace(
 
   override def evaluate(s: State): Option[EvalResult] = {
     if (!admissible(s)) return None
-    if (rowCountEstimate(s) < 20) return None
+    if (rowCountEstimate(s) < minRows) return None
     val p = perf(s)
     Some(EvalResult(Map("err" -> p(0), "cost" -> p(1)), p,
       rows = rowCountEstimate(s).toInt, cols = layout.attrsOf(s).size))
