@@ -64,9 +64,8 @@ trait StateSpace {
   /** Cheap row-count proxy (no Spark job) — correlation pruning's |D|. */
   def rowCountEstimate(s: State): Long
 
-  /** Fewest rows (edges, in the graph space) a state needs to evaluate.
-    * Below it [[evaluate]] gives None, and so does the surrogate, without
-    * asking its estimator.
+  /** Fewest rows (edges, in the graph space) a state needs: below it both
+    * [[evaluate]] and the surrogate give None.
     */
   def minRows: Int = TabularTask.MinRows
 
@@ -92,7 +91,7 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
   /** BackSt from the base table's own attributes. */
   override lazy val backStart: State = backStartFrom(task.lake.attrsOf(task.lake.base))
 
-  // No Spark job and no cut per state: the task reads the state's rows in place in D_U's driver copy.
+  // No Spark job per state: the task reads the state's rows in place in D_U's driver copy.
   override def evaluate(s: State): Option[EvalResult] = cached(s) {
     task.evaluate(universal.driverCopy.keys, universal.project(layout.attrsOf(s)), universal.rowIndices(s))
   }

@@ -64,10 +64,10 @@ final class TabularTask(
 
   /** Evaluate the increasing `rows` of a dataset held in the driver: row `r`
     * has key `keys(r)`, label `data.y(r)` and features `data.cols(_)(r)`
-    * (NaN = missing). The rows are gathered once, mean-imputed with
-    * train-split statistics, and the fit, the predictions and the Fisher
-    * and MI scores all read that one gather. None when the rows are too few
-    * to train or (classification) the train split misses a class.
+    * (NaN = missing). The fit, the predictions and the Fisher and MI scores
+    * all read one gather of the rows, mean-imputed with train-split
+    * statistics. None when the rows are too few to train or
+    * (classification) the train split misses a class.
     */
   def evaluate(keys: Array[Long], data: Frame, rows: Array[Int]): Option[EvalResult] = {
     val n = rows.length

@@ -91,11 +91,9 @@ final case class UniversalTable(
     java.util.Arrays.copyOf(out, m)
   }
 
-  /** The listed attributes of [[driverCopy]] with its target, over all its
-    * rows: references to its columns, no copy. With [[rowIndices]] and
-    * `driverCopy.keys` it is what `TabularTask.evaluate` takes for a state;
-    * for a state's rows it holds what `Frame.collect` gives for
-    * `materialize(s)`. Runs no Spark job.
+  /** The listed attributes and the target of [[driverCopy]], as references
+    * to its columns: on a state's [[rowIndices]], what `Frame.collect` gives
+    * for `materialize(s)`, with no copy and no Spark job.
     */
   def project(attrs: Seq[String]): Frame =
     Frame(attrs.toVector, attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray, driverCopy.target)

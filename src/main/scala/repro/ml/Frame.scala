@@ -34,8 +34,11 @@ final case class Frame(names: Vector[String], cols: Array[Array[Double]], y: Arr
   }
 
   /** The given rows as row vectors, each NaN cell replaced by its column's fill value. */
-  def imputedRows(rows: Array[Int], fill: Array[Double]): Array[Array[Double]] =
-    rows.map(r => Array.tabulate(nCols) { j => val v = cols(j)(r); if (v.isNaN) fill(j) else v })
+  def imputedRows(rows: Array[Int], fill: Array[Double]): Array[Array[Double]] = rows.map { r =>
+    val out = new Array[Double](nCols)
+    for (j <- out.indices) { val v = cols(j)(r); out(j) = if (v.isNaN) fill(j) else v }
+    out
+  }
 }
 
 object Frame {
