@@ -32,14 +32,17 @@ sealed abstract class GradientBoosting(
     f0 = start(y)
     trees = Vector.empty
     val scores = Array.fill(y.length)(f0)
-    val order = RegressionTree.presort(x)
+    val data = new RegressionTree.Binned(x)
+    val rows = Array.range(0, y.length)
+    val resid = new Array[Double](y.length)
     var t = 0
     while (t < nTrees) {
-      val resid = Array.tabulate(y.length)(i => y(i) - link(scores(i)))
-      val tree = new RegressionTree(maxDepth, minLeaf).fit(x, resid, rng, order)
-      trees :+= tree
       var i = 0
-      while (i < y.length) { scores(i) += learningRate * tree.predict(x(i)); i += 1 }
+      while (i < y.length) { resid(i) = y(i) - link(scores(i)); i += 1 }
+      trees :+= new RegressionTree(maxDepth, minLeaf).fit(data, resid, rng, rows)
+      // each row's tree output is the leaf it landed in while the tree grew
+      i = 0
+      while (i < y.length) { scores(i) += learningRate * data.fitted(i); i += 1 }
       t += 1
     }
     this

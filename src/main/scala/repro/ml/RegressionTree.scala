@@ -7,14 +7,12 @@ import scala.util.Random
   * learner behind the GBM, random-forest, and MO-GBM substrates (S8 in
   * DESIGN.md). Deterministic given the caller-provided RNG.
   *
-  * Rows are sorted once per feature for a whole ensemble fit
-  * ([[RegressionTree.presort]], SLIQ's presorting: Mehta, Agrawal &
-  * Rissanen, EDBT 1996); each split partitions every feature's sorted rows
-  * stably, so each node sees its rows in the presort's order. A large node
-  * scans its candidate features and partitions its features on the JDK
-  * common pool, one feature per task (SPRINT's parallel attribute lists:
-  * Shafer, Agrawal & Mehta, VLDB 1996), and still picks the split the
-  * sequential scan picks.
+  * Splits are found on histograms, as in LightGBM (Ke et al., NeurIPS 2017)
+  * and XGBoost's `hist` method (Chen & Guestrin, KDD 2016). Each feature is
+  * cut into at most 255 bins once per ensemble fit ([[RegressionTree.Binned]]).
+  * A node sums y and counts its rows per bin, builds the smaller child's
+  * histogram from that child's rows, and takes the larger child's as its
+  * own minus the smaller one. A split is a boundary between two bins.
   */
 final class RegressionTree(
     val maxDepth: Int = 4,
@@ -33,13 +31,16 @@ final class RegressionTree(
   def importances: Array[Double] = importanceAcc.clone()
 
   def fit(x: Array[Array[Double]], y: Array[Double], rng: Random = new Random(0)): this.type =
-    fit(x, y, rng, presort(x))
+    fit(new Binned(x), y, rng, Array.range(0, x.length))
 
-  /** Fit on the rows of `order`, a presort of `x` or a sample of one. */
-  def fit(x: Array[Array[Double]], y: Array[Double], rng: Random, order: Presorted): this.type = {
-    require(x.length == y.length && x.nonEmpty, "tree: empty or mismatched input")
-    importanceAcc = new Array[Double](x(0).length)
-    rootOpt = Some(new Grower(y, order, rng).grow(0, order.rows.length))
+  /** Fit on the training rows `rows` of `data` (a row listed twice counts
+    * twice, as in a bootstrap). Afterwards `data.fitted` holds, for each of
+    * those rows, the value of the leaf it landed in.
+    */
+  def fit(data: Binned, y: Array[Double], rng: Random, rows: Array[Int]): this.type = {
+    require(data.nRows == y.length && rows.nonEmpty, "tree: empty or mismatched input")
+    importanceAcc = new Array[Double](data.nFeatures)
+    rootOpt = Some(new Grower(data, y, rng, rows).root)
     this
   }
 
@@ -47,87 +48,25 @@ final class RegressionTree(
     var n = root
     while (true) {
       n match {
-        case Leaf(v)                  => return v
-        case Split(f, t, l, r)        => n = if (xi(f) <= t) l else r
+        case Leaf(v)           => return v
+        case Split(f, t, l, r) => n = if (xi(f) <= t) l else r
       }
     }
     0.0 // unreachable
   }
 
-  /** One fit's working copy of `order`: a node is a range `lo until hi` of
-    * `rows` (the sample's natural order, which sums run in) and of each
-    * feature's sorted rows, partitioned in place at every split.
+  /** One tree's growth in `data`'s buffers: a node is a range `lo until hi`
+    * of `rows`, partitioned stably in place at every split, and its
+    * histogram is one of `data`'s histogram buffers.
     */
-  private final class Grower(y: Array[Double], order: Presorted, rng: Random) {
-    private val rows = order.rows.clone()
-    private val sorted = order.byFeature.map(_.clone())
-    private val column = order.columns
-    private val goLeft = new Array[Boolean](y.length)
-    // one per feature, so that features partition at once; the last is rows'
-    private val bufs = Array.fill(sorted.length + 1)(new Array[Int](rows.length))
-    private val nFeat = sorted.length
+  private final class Grower(data: Binned, y: Array[Double], rng: Random, sample: Array[Int]) {
+    private val nFeat = data.nFeatures
+    private val rows = data.rowBuffer(sample.length)
+    System.arraycopy(sample, 0, rows, 0, sample.length)
     private val allFeatures = featuresPerSplit <= 0 || featuresPerSplit >= nFeat
-
-    /** Stable in-place partition of `a(lo until hi)` by `goLeft`, through
-      * `buf`; returns the end of the left part.
-      */
-    private def partition(a: Array[Int], lo: Int, hi: Int, buf: Array[Int]): Int = {
-      var l = lo
-      var r = 0
-      var i = lo
-      while (i < hi) {
-        val j = a(i)
-        // both writes, then one count moves: no branch on a random bit
-        val left = if (goLeft(j)) 1 else 0
-        a(l) = j; buf(r) = j
-        l += left; r += 1 - left
-        i += 1
-      }
-      System.arraycopy(buf, 0, a, l, r)
-      l
-    }
-
-    /** The SSE decrease from splitting `n` rows that sum to `sum` into the
-      * first `nl`, which sum to `leftSum`, and the rest.
-      */
-    private def gain(leftSum: Double, nl: Int, n: Int, sum: Double): Double = {
-      val rightSum = sum - leftSum
-      leftSum * leftSum / nl + rightSum * rightSum / (n - nl) - sum * sum / n
-    }
-
-    // each feature's last record in its last scan, as an offset k into the
-    // node's sorted rows: the threshold lies between the values at k and k + 1
-    private val recordAt = new Array[Int](nFeat)
-
-    /** The split scan of feature `f` in `lo until hi`, the one loop over
-      * split points. Starting from a record of `from`, each valid split
-      * point whose gain is above the record + 1e-12 becomes the record, kept
-      * in `recordAt(f)` (-1 when none does). Returns the last record:
-      * `from` when no split point beat it.
-      */
-    private def scan(f: Int, lo: Int, hi: Int, sum: Double, from: Double): Double = {
-      val s = sorted(f)
-      val col = column(f)
-      val n = hi - lo
-      var record = from
-      var at = -1
-      // prefix sums of y over the sorted order
-      var leftSum = 0.0
-      var vHere = col(s(lo))
-      var k = 0
-      while (k < n - 1) {
-        leftSum += y(s(lo + k))
-        val vNext = col(s(lo + k + 1))
-        if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
-          val g = gain(leftSum, k + 1, n, sum)
-          if (g > record + 1e-12) { record = g; at = k }
-        }
-        vHere = vNext
-        k += 1
-      }
-      recordAt(f) = at
-      record
-    }
+    private val everyFeature = Array.range(0, nFeat)
+    // a split leaves at least one row, and at least minLeaf, on each side
+    private val minSide = math.max(minLeaf, 1).toDouble
 
     /** Sum of y over `rows(lo until hi)`, in that order. */
     private def sumOf(lo: Int, hi: Int): Double = {
@@ -137,157 +76,246 @@ final class RegressionTree(
       sum
     }
 
-    /** Whether a node of `n` rows at `depth` would find every feature's
-      * record from 0 on several threads: its parent finds them instead, in
-      * the tasks that partition each feature.
-      */
-    private def foundByParent(n: Int, depth: Int): Boolean =
-      allFeatures && depth < maxDepth && n >= 2 * minLeaf && isLarge(n, nFeat)
+    /** Whether a node of `n` rows at `depth` is a leaf whatever its rows. */
+    private def leafBySize(n: Int, depth: Int): Boolean = depth >= maxDepth || n < 2 * minLeaf
 
-    def grow(lo: Int, hi: Int): Node = grow(lo, hi, 0, sumOf(lo, hi), null)
+    val root: Node = {
+      val sum = sumOf(0, sample.length)
+      val hist = if (leafBySize(sample.length, 0)) null else data.histogram(0, rows, 0, sample.length, y)
+      grow(0, sample.length, 0, sum, hist, 1)
+    }
 
-    /** The node of `rows(lo until hi)`, whose y sums to `sum`. `found`, when
-      * not null, holds each feature's record from 0 in the node.
+    /** The leaf of `rows(lo until hi)`: each row's fitted value is its mean. */
+    private def leaf(lo: Int, hi: Int, value: Double): Node = {
+      var i = lo
+      while (i < hi) { data.fitted(rows(i)) = value; i += 1 }
+      Leaf(value)
+    }
+
+    /** The node of `rows(lo until hi)`, whose y sums to `sum` and whose
+      * histogram is `hist` (null when the node is a leaf by size).
+      * Histogram buffers from `free` on are unused.
       */
-    private def grow(lo: Int, hi: Int, depth: Int, sum: Double, found: Array[Double]): Node = {
+    private def grow(lo: Int, hi: Int, depth: Int, sum: Double, hist: Array[Double], free: Int): Node = {
       val n = hi - lo
       val meanHere = sum / n
-      if (depth >= maxDepth || n < 2 * minLeaf) return Leaf(meanHere)
+      if (leafBySize(n, depth)) return leaf(lo, hi, meanHere)
 
       var sse = 0.0
       var i = lo
       while (i < hi) { val d = y(rows(i)) - meanHere; sse += d * d; i += 1 }
-      if (sse <= 1e-12) return Leaf(meanHere)
+      if (sse <= 1e-12) return leaf(lo, hi, meanHere)
 
-      val cand: Array[Int] =
-        if (allFeatures) Array.range(0, nFeat)
+      val cand =
+        if (allFeatures) everyFeature
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
-      // A large node has each candidate's record from 0, found here on all
-      // cores or by its parent. Every gain of a feature is at most that
-      // record + 1e-12, so the sequential scan skips a feature whose record
-      // is not above the best: it could not replace the best there, and the
-      // chosen split and its gain are the sequential scan's. A small node
-      // scans every candidate.
-      val records =
-        if (found != null) found
-        else if (isLarge(n, cand.length)) {
-          val a = new Array[Double](cand.length)
-          forEach(n, cand.length)(c => a(c) = scan(cand(c), lo, hi, sum, 0.0))
-          a
-        } else null
+      // the first largest gain, in candidate and bin order, above 1e-12 past the last
+      val parentTerm = sum * sum / n
       var best = 0.0
       var feat = -1
+      var bin = -1
       var c = 0
       while (c < cand.length) {
-        if (records == null || records(c) > best) {
-          val r = scan(cand(c), lo, hi, sum, best)
-          if (r > best) { best = r; feat = cand(c) }
+        val f = cand(c)
+        val base = 2 * data.offset(f)
+        val last = data.nBins(f) - 1
+        var leftSum = 0.0
+        var nl = 0.0
+        var b = 0
+        while (b < last) {
+          val count = hist(base + 2 * b + 1)
+          if (count > 0) {
+            leftSum += hist(base + 2 * b)
+            nl += count
+            val nr = n - nl
+            if (nl >= minSide && nr >= minSide) {
+              val rightSum = sum - leftSum
+              val g = leftSum * leftSum / nl + rightSum * rightSum / nr - parentTerm
+              if (g > best + 1e-12) { best = g; feat = f; bin = b }
+            }
+          }
+          b += 1
         }
         c += 1
       }
-      if (feat < 0) return Leaf(meanHere)
-      val col = column(feat)
-      val at = lo + recordAt(feat)
-      val thr = (col(sorted(feat)(at)) + col(sorted(feat)(at + 1))) / 2.0
+      if (feat < 0) return leaf(lo, hi, meanHere)
       importanceAcc(feat) += best
-      i = lo
-      while (i < hi) { val j = rows(i); goLeft(j) = col(j) <= thr; i += 1 }
-      val mid = partition(rows, lo, hi, bufs(nFeat))
+
+      val mid = data.partition(rows, lo, hi, feat, bin)
       val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
-      val foundL = if (foundByParent(mid - lo, depth + 1)) new Array[Double](nFeat) else null
-      val foundR = if (foundByParent(hi - mid, depth + 1)) new Array[Double](nFeat) else null
-      // every feature, drawn here or not: a child may draw any of them; a
-      // leaf reads only `rows`, so children at maxDepth need none
-      if (depth + 1 < maxDepth) forEach(n, nFeat) { f =>
-        partition(sorted(f), lo, hi, bufs(f))
-        if (foundL != null) foundL(f) = scan(f, lo, mid, sumL, 0.0)
-        if (foundR != null) foundR(f) = scan(f, mid, hi, sumR, 0.0)
+      // the smaller child (the left one on a tie) is counted from its rows;
+      // the larger one's histogram is this node's minus it, in place
+      var histL: Array[Double] = null
+      var histR: Array[Double] = null
+      if (depth + 1 < maxDepth) {
+        val leftSmaller = mid - lo <= hi - mid
+        val small =
+          if (leftSmaller) data.histogram(free, rows, lo, mid, y) else data.histogram(free, rows, mid, hi, y)
+        i = 0
+        while (i < hist.length) { hist(i) -= small(i); i += 1 }
+        if (leftSmaller) { histL = small; histR = hist } else { histL = hist; histR = small }
       }
-      Split(feat, thr, grow(lo, mid, depth + 1, sumL, foundL),
-        grow(mid, hi, depth + 1, sumR, foundR))
+      // the left subtree may use every buffer after both children's
+      val freeL = free + 1
+      Split(feat, data.thresholds(feat)(bin), grow(lo, mid, depth + 1, sumL, histL, freeL),
+        grow(mid, hi, depth + 1, sumR, histR, if (histR eq hist) free else freeL))
     }
   }
 }
 
 object RegressionTree {
 
-  /** Rows × features of a node's loop below which it runs on one thread:
-    * smaller loops cost more to fork and join than they save.
-    */
-  private[ml] val ParallelFloor = 8192
-
-  private def isLarge(n: Int, features: Int): Boolean = n.toLong * features >= ParallelFloor
-
-  /** `body(i)` for every `i` below `count`: on the JDK common pool when
-    * `n` rows × `count` reach [[ParallelFloor]], else in order.
-    */
-  private def forEach(n: Int, count: Int)(body: Int => Unit): Unit =
-    if (isLarge(n, count)) IntStream.range(0, count).parallel().forEach(i => body(i))
-    else { var i = 0; while (i < count) { body(i); i += 1 } }
-
   sealed trait Node
   final case class Leaf(value: Double) extends Node
   final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 
-  /** Training rows in their natural order (ascending index, or bootstrap
-    * draw order), for each feature the same rows in [[presort]]'s order, and
-    * each feature's values by row index (`x`'s columns, which a split scan
-    * reads in sorted order).
-    */
-  final class Presorted private[RegressionTree] (
-      private[ml] val rows: Array[Int], private[ml] val byFeature: Array[Array[Int]],
-      private[ml] val columns: Array[Array[Double]]) {
+  /** The most bins a feature is cut into: a code fits in a byte. */
+  private[ml] val MaxBins = 255
 
-    /** The presort of the bootstrap or subset `draws` of the rows of this
-      * presort of all rows: each feature's order with row `j` repeated as
-      * often as `draws` holds it, which is how a sort of `draws` orders it.
-      */
-    def sample(draws: Array[Int]): Presorted = {
-      val count = new Array[Int](rows.length)
-      draws.foreach(j => count(j) += 1)
-      new Presorted(draws, byFeature.map { all =>
-        val out = new Array[Int](draws.length)
-        var k = 0
-        all.foreach { j =>
-          var c = count(j)
-          while (c > 0) { out(k) = j; k += 1; c -= 1 }
-        }
-        out
-      }, columns)
+  /** A training matrix `x` binned for one ensemble fit, with the buffers its
+    * trees grow in; it serves one fit at a time. The bins are a function of
+    * `x` alone.
+    *
+    * Per feature: a feature with at most [[MaxBins]] distinct values has
+    * one bin per value. Otherwise the sorted values are cut greedily into
+    * bins of about equal counts that never split a value. The threshold
+    * after a bin is the midpoint between its largest value and the next
+    * value (the largest value itself when the two are adjacent doubles), so
+    * `x(r)(f) <= threshold` holds exactly for the rows in that bin or
+    * below, and a tree's `predict` partitions rows as its codes do. `-0.0`
+    * and `0.0` are one value. NaN is rejected: callers impute first.
+    */
+  final class Binned(x: Array[Array[Double]]) {
+    require(x.nonEmpty, "tree: empty input")
+    val nRows: Int = x.length
+    val nFeatures: Int = x(0).length
+    /** Each feature's thresholds, one fewer than its bins. */
+    private[ml] val thresholds: Array[Array[Double]] = new Array[Array[Double]](nFeatures)
+    /** Row-major bin codes: row `r`'s code of feature `f` is at `r * nFeatures + f`. */
+    private[ml] val codes: Array[Byte] = new Array[Byte](nRows * nFeatures)
+    locally {
+      // each feature's bins are a function of its column alone, so the
+      // features are binned on the common pool, whatever its size
+      val columns = new Array[Array[Byte]](nFeatures)
+      IntStream.range(0, nFeatures).parallel().forEach(f => columns(f) = bin(f))
+      var r = 0
+      while (r < nRows) {
+        var f = 0
+        while (f < nFeatures) { codes(r * nFeatures + f) = columns(f)(r); f += 1 }
+        r += 1
+      }
     }
-  }
+    private[ml] def nBins(f: Int): Int = thresholds(f).length + 1
+    /** Where each feature's bins start in a histogram. */
+    private[ml] val offset: Array[Int] = thresholds.scanLeft(0)(_ + _.length + 1)
+    private[ml] def code(r: Int, f: Int): Int = codes(r * nFeatures + f) & 0xff
 
-  /** Every row of `x`, sorted once per feature by (float key of the value,
-    * row index), a total order packed into longs and primitive-sorted: the
-    * order the recorded trees (MLGoldenSpec) were grown in. The key is not
-    * the values' order. It puts every value whose sign bit is clear (0.0 and
-    * up) before every value whose sign bit is set (-0.0 and below),
-    * and orders distinct doubles that round to one float by row index, so
-    * the prefix a split scores can differ from the partition its threshold
-    * makes. Large inputs sort their features on the common pool.
-    */
-  def presort(x: Array[Array[Double]]): Presorted = {
-    val n = x.length
-    val nFeat = if (n == 0) 0 else x(0).length
-    val byFeature = new Array[Array[Int]](nFeat)
-    val columns = Array.ofDim[Double](nFeat, n)
-    val sortFeature = (f: Int) => {
-      val col = columns(f)
-      val packed = new Array[Long](n)
-      var i = 0
-      while (i < n) {
-        col(i) = x(i)(f)
-        val bitsRaw = java.lang.Float.floatToIntBits(col(i).toFloat)
-        val bits = if (bitsRaw < 0) ~bitsRaw else bitsRaw ^ 0x80000000
-        packed(i) = (bits.toLong << 32) | (i.toLong & 0xffffffffL)
+    /** The value of the leaf each training row landed in, in the last tree
+      * grown on these bins.
+      */
+    val fitted: Array[Double] = new Array[Double](nRows)
+
+    private var rows = new Array[Int](nRows)
+    private var spill = new Array[Int](nRows)
+    private val histograms = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
+
+    /** The row buffer, for a tree of `n` rows. */
+    private[ml] def rowBuffer(n: Int): Array[Int] = {
+      if (rows.length < n) { rows = new Array[Int](n); spill = new Array[Int](n) }
+      rows
+    }
+
+    /** Histogram buffer `k`, filled with the sum of `y` and the count of the
+      * rows `rs(lo until hi)` in each bin, added in row order. Bin `b` of
+      * feature `f` holds its sum at `2 * (offset(f) + b)` and its count
+      * right after.
+      */
+    private[ml] def histogram(k: Int, rs: Array[Int], lo: Int, hi: Int, y: Array[Double]): Array[Double] = {
+      while (histograms.length <= k) histograms += new Array[Double](2 * offset(nFeatures))
+      val h = histograms(k)
+      java.util.Arrays.fill(h, 0.0)
+      var i = lo
+      while (i < hi) {
+        val r = rs(i)
+        val yr = y(r)
+        val base = r * nFeatures
+        var f = 0
+        while (f < nFeatures) {
+          val at = 2 * (offset(f) + (codes(base + f) & 0xff))
+          h(at) += yr
+          h(at + 1) += 1.0
+          f += 1
+        }
         i += 1
       }
-      java.util.Arrays.sort(packed)
-      byFeature(f) = packed.map(_.toInt)
+      h
     }
-    forEach(n, nFeat)(sortFeature)
-    new Presorted(Array.range(0, n), byFeature, columns)
+
+    /** Stable in-place partition of `rs(lo until hi)` into the rows whose
+      * code of `f` is at most `bin`, then the rest; returns the end of the
+      * first part.
+      */
+    private[ml] def partition(rs: Array[Int], lo: Int, hi: Int, f: Int, bin: Int): Int = {
+      var l = lo
+      var s = 0
+      var i = lo
+      while (i < hi) {
+        val r = rs(i)
+        // both writes, then one count moves: no branch on a random bit
+        val left = if (code(r, f) <= bin) 1 else 0
+        rs(l) = r; spill(s) = r
+        l += left; s += 1 - left
+        i += 1
+      }
+      System.arraycopy(spill, 0, rs, l, s)
+      l
+    }
+
+    /** Bins feature `f`: sets its thresholds and returns each row's code,
+      * the first bin whose threshold the row's value is at most, else the last.
+      */
+    private def bin(f: Int): Array[Byte] = {
+      val column = new Array[Double](nRows)
+      var r = 0
+      while (r < nRows) { column(r) = x(r)(f); r += 1 }
+      val v = column.clone()
+      java.util.Arrays.sort(v)
+      require(!v(nRows - 1).isNaN, s"tree: feature $f has NaN")
+      var distinct = 1
+      var i = 1
+      while (i < nRows) { if (v(i) != v(i - 1)) distinct += 1; i += 1 }
+      val cuts = new Array[Double](math.min(distinct, MaxBins) - 1)
+      var bins = 1
+      i = 1
+      while (i < nRows) {
+        // a new value after i rows: close the bin here when every value has
+        // its own, or once the bin holds its share of the rows
+        if (v(i) != v(i - 1) && (distinct <= MaxBins || i.toLong * MaxBins >= bins.toLong * nRows)) {
+          val a = v(i - 1)
+          val b = v(i)
+          val mid = (a + b) / 2.0
+          cuts(bins - 1) = if (a <= mid && mid < b) mid else a
+          bins += 1
+        }
+        i += 1
+      }
+      val t = java.util.Arrays.copyOf(cuts, bins - 1)
+      thresholds(f) = t
+      val out = new Array[Byte](nRows)
+      r = 0
+      while (r < nRows) {
+        // the count of thresholds below the value, by a search whose steps
+        // do not depend on the value
+        val value = column(r)
+        var base = 0
+        var len = t.length
+        while (len > 1) { val half = len >>> 1; if (t(base + half) < value) base += half; len -= half }
+        out(r) = (if (len == 1 && t(base) < value) base + 1 else base).toByte
+        r += 1
+      }
+      out
+    }
   }
 
   /** The trees' importances summed feature by feature, tree by tree, then

@@ -55,22 +55,22 @@ class BaselineOutputSpec extends SparkSpec {
   private val expected: Map[String, Map[String, Vector[String]]] = Map(
     "movie" -> Map(
       "H2O" -> Vector("inf_1", "inf_2", "inf_3", "inf_5", "inf_4"),
-      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2"),
-      "SkSFM" -> Vector("inf_1", "inf_2", "inf_4"),
+      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "inf_3", "inf_5", "nz_1", "nz_4", "inf_4", "nz_2"),
+      "SkSFM" -> Vector("seg_quality", "inf_1", "inf_2"),
       "Starmie" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "nz_3", "inf_3", "inf_5", "nz_1", "nz_4", "inf_4", "nz_2")),
     "house" -> Map(
       "H2O" -> Vector("seg_quality", "inf_1", "inf_2", "inf_3", "inf_5", "inf_4", "inf_6", "inf_8", "nz_9"),
-      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2"),
-      "SkSFM" -> Vector("seg_quality", "inf_1", "nz_10", "inf_6", "nz_2"),
+      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "inf_3", "inf_5", "inf_7", "inf_9", "nz_1", "nz_4", "nz_7", "nz_10", "inf_4", "inf_6", "inf_8", "inf_10", "nz_2", "nz_5", "nz_8", "nz_11"),
+      "SkSFM" -> Vector("seg_quality", "inf_1", "inf_2", "inf_3", "inf_4"),
       "Starmie" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "inf_4", "inf_6", "inf_8", "inf_10", "nz_2", "nz_5", "nz_8", "nz_11", "inf_3", "inf_5", "inf_7", "inf_9", "nz_1", "nz_4", "nz_7", "nz_10", "nz_3", "nz_6", "nz_9", "nz_12")),
     "avocado" -> Map(
       "H2O" -> Vector("inf_1", "inf_2", "inf_3", "inf_5", "inf_4"),
       "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "inf_3", "inf_5", "nz_1", "nz_4", "inf_4", "inf_6", "nz_2", "nz_3"),
-      "SkSFM" -> Vector("inf_1", "inf_2"),
+      "SkSFM" -> Vector("inf_1", "inf_2", "inf_3"),
       "Starmie" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "nz_3", "inf_4", "inf_6", "nz_2", "inf_3", "inf_5", "nz_1", "nz_4")),
     "mental" -> Map(
       "H2O" -> Vector("inf_1", "inf_2", "inf_3", "inf_5", "inf_4", "inf_6"),
-      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2"),
+      "METAM" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "inf_3", "inf_5", "inf_7", "nz_1", "nz_4", "nz_7"),
       "SkSFM" -> Vector("seg_quality", "inf_1", "inf_2", "inf_3"),
       "Starmie" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "nz_3", "nz_6", "nz_9", "inf_3", "inf_5", "inf_7", "nz_1", "nz_4", "nz_7", "inf_4", "inf_6", "inf_8", "nz_2", "nz_5", "nz_8")))
 

@@ -55,17 +55,17 @@ class EvaluationGoldenSpec extends SparkSpec {
   // Recorded at SF 0.01, not derived: any change is a change of behaviour.
   private val expected: Map[String, (String, String)] = Map(
     "movie" -> (
-      "acc=0.5333333333333333,fsc=0.050812534524958174,mae=1.5422988906669552,mi=0.025240686148672555,mse=4.777721451094513,r2=0.07656176237591938,rmse=2.1857999567880206 (373,11)",
-      "4ca0fde44e88461a29061f6246c3a0d37fc742764ff522fd47539fb6c9e8e183"),
+      "acc=0.6666666666666666,fsc=0.050812534524958174,mae=1.3788486739981385,mi=0.025240686148672555,mse=4.563174765059179,r2=0.11802935643064805,rmse=2.1361588810430696 (373,11)",
+      "072cbeb19ffb8bcfef39e9705c2400522421209bd7b72e269ccba29056ef8555"),
     "house" -> (
-      "acc=0.55,auc=0.5839598997493735,f1=0.5500000000000002,fsc=0.017145360703632383,mi=0.013403722539840275,prec=0.5789473684210527,rec=0.5238095238095238 (200,24)",
-      "f7d8deaad8e5e9558457e65bb7dcce2aa0ba7557a5aa9d0d285b01fd2d83bc79"),
+      "acc=0.625,auc=0.6842105263157895,f1=0.5945945945945946,fsc=0.017145360703632383,mi=0.013403722539840275,prec=0.6875,rec=0.5238095238095238 (200,24)",
+      "d654024f6134dea052ed41f9f6ded57896fd5c617fefa72c419bb400ae161469"),
     "avocado" -> (
       "acc=0.8465753424657534,mae=0.8535751802800738,mse=3.073038297455971,r2=0.4364677031370141,rmse=1.7530083563565722 (1824,12)",
-      "71dcdd6fbb39d0bbc057c1fd64ec147960a3e59b8fb8cd2d2b2ef9a5d1e9b87a"),
+      "452b60da13ffe7b00d5f47fd9a5366111d7b565d59f0d4933d1befd1b99a4e06"),
     "mental" -> (
-      "acc=0.7025,auc=0.8080278986594638,f1=0.7331838565022422,prec=0.654,rec=0.8341836734693877 (8000,19)",
-      "a791d909b69d56703cb78805d4688025012b3ad21eff663b16bbc516ff6aedd2"))
+      "acc=0.77125,auc=0.8729429271708683,f1=0.7680608365019012,prec=0.7632241813602015,rec=0.7729591836734694 (8000,19)",
+      "db711fea40dc68d647bcbac1f17537d0750984ce6532fe65c22e1ad1aaea051c"))
 
   Seq("movie", "house", "avocado", "mental").foreach { name =>
     test(s"$name: s_U, BackSt, the one-flip reducts and SkSFM/H2O evaluate to their golden") {

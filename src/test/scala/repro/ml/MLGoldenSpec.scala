@@ -6,8 +6,9 @@ import scala.util.Random
 /** Golden outputs of every model the system fits, with the hyperparameters
   * the system fits it with: `TabularTask`'s GBMs, RF and ridge,
   * `FeatureSelect`'s GBMs and linear models, and the `SurrogateValuator`'s
-  * MO-GBM, plus the task's GBM classifier on a 2,000-row input whose upper
-  * tree nodes are large enough to scan in parallel. Predictions on 5 rows, GBM importances and the linear models'
+  * MO-GBM, plus the task's GBM classifier on a 2,000-row input whose
+  * Gaussian features have more distinct values than a tree has bins.
+  * Predictions on 5 rows, GBM importances and the linear models'
   * coefficients print in their shortest round-trip form, so string
   * equality is bit equality. A refactor of the ML substrate must reproduce
   * these strings exactly.
@@ -37,9 +38,8 @@ class MLGoldenSpec extends AnyFunSuite {
 
   private val rows = Seq(0, 57, 128, 199, 311)
 
-  /** 2,000 rows of ten features, large enough that a tree's upper nodes
-    * scan their features on several threads: seven Gaussians and three
-    * discrete features with 3, 6 and 9 levels.
+  /** 2,000 rows of ten features: seven Gaussians, each cut into 255
+    * equal-count bins, and three discrete features with 3, 6 and 9 levels.
     */
   private val xLarge: Array[Array[Double]] = {
     val rng = new Random(2026)
@@ -90,37 +90,37 @@ class MLGoldenSpec extends AnyFunSuite {
   // Recorded, not derived: any change to these strings is a change of behaviour.
   private val expected: Map[String, String] = Map(
     "2,000-row GBMClassifier importances" ->
-      "0.7173022467694516,0.0021187172858567666,6.17626631554558E-4,0.1891157499544196,0.0,4.97626824148298E-4,5.290158902027475E-4,5.671695175981252E-4,0.0,0.0892518471267684",
+      "0.5705331809439291,0.0026097224059699153,2.759786859927389E-4,0.2472557645641049,0.001880321698736557,1.077757435086232E-4,0.0030982736776637696,0.009858814224260309,0.0,0.16438016805583427",
     "2,000-row GBMClassifier predictProba" ->
-      "0.253722876219738,0.16706237920355796,0.16615343018394435,0.16754811327908284,0.5103534422375978",
+      "0.2775439383711438,0.15928776487993962,0.16670491217922015,0.16507055417329006,0.32166461373859295",
     "LogisticRegressionModel coefficients" ->
       "3.3878117042300135,1.746661820706672,-0.20230341916878403,-0.22286417485411872,-0.7677073699861997,0.0",
     "LogisticRegressionModel predictProba" ->
       "0.2950698417835979,0.6853630902127875,0.7464797368822388,0.9953210158264961,0.9802208520487101",
     "MOGBM predict" ->
-      "2.2661384987166713,0.7286870716942834,1.1189521307936592;1.2357085507716894,0.9698297278046311,1.1189521307936592;1.3774180588153313,0.6824147088737071,0.5967569362604754;0.6680607720182272,0.8935894921364158,1.0581354060893158;-0.3207701541126464,0.9382141352667406,0.14172573900425356",
+      "2.1382040292783193,0.672382189321135,1.6128345560963715;1.495157961891707,0.9254326450165069,1.2866635929345296;0.9487266411067439,0.7789445232711423,0.4982727312514701;1.0866992671324622,0.9858570527482187,1.240908248573131;-0.42006499567854483,1.0305900459511668,-0.6525145541956773",
     "RandomForest predictScore" ->
-      "0.667493120985768,0.8467261904761905,0.7283258759517955,0.971078431372549,0.9505733808674985",
+      "0.7372939068100358,0.918003280182974,0.7885772269333915,0.833845598845599,0.9722222222222222",
     "RidgeRegression coefficients" ->
       "1.9426043562674236,-0.9892504162567536,-0.005441119500065555,0.005239813719627796,0.4178523114903066,0.0",
     "RidgeRegression predict" ->
       "2.5903359056406026,1.6554861813550332,0.5596190511395476,0.442418269099234,-0.595742695088302",
     "SkSFM GBMClassifier importances" ->
-      "0.7761892561981706,0.2008883928866093,0.017802522461312534,0.0,0.0051198284539076665,0.0",
+      "0.71311808453541,0.2713387170120575,0.007163509973601276,0.0038360463289003385,0.004543642150030945,0.0",
     "SkSFM GBMClassifier predictProba" ->
-      "0.6579263859031255,0.7728805187749686,0.5469568541102295,0.7537875867920601,0.7260918411787014",
+      "0.6318908851512504,0.7839072044141069,0.6934075659409625,0.7956826264043504,0.7520883904113571",
     "SkSFM GBMRegressor importances" ->
-      "0.7904826473401718,0.18264080355288342,0.0038569659515587163,0.001024820523177233,0.021994762632208724,0.0",
+      "0.7915594625918222,0.18788214235752435,0.0022121183534283407,5.819842889133829E-4,0.01776429240831177,0.0",
     "SkSFM GBMRegressor predict" ->
-      "2.1908188807887368,1.090508218404989,1.430055060493656,0.7570466620798841,-0.17677308356134147",
+      "2.176404739184804,1.3870558232641979,0.9818632660526332,0.9356381001388486,-0.3805067429249116",
     "task GBMClassifier importances" ->
-      "0.6769147197521427,0.26328911508822667,0.03475292292781567,0.020945692663101027,0.004097549568713868,0.0",
+      "0.6957834400837862,0.2599329230224961,0.016857667254459627,0.012794076170505804,0.014631893468752304,0.0",
     "task GBMClassifier predictProba" ->
-      "0.6520574701869127,0.78155514581321,0.6206995198890329,0.7663455062502842,0.7473791560156136",
+      "0.6561126920779087,0.7928016786623406,0.6824422962461721,0.7951628145172501,0.7868548632024294",
     "task GBMRegressor importances" ->
-      "0.7794561926718323,0.1771228124461473,0.012378199175095722,0.005853784307997864,0.025189011398926688,0.0",
+      "0.781321941469375,0.18635819301469012,0.005736943390483516,0.0049541517318869,0.02162877039356458,0.0",
     "task GBMRegressor predict" ->
-      "2.14252412784801,1.505150287616547,0.9298619879844531,1.0651208764479576,-0.4440740724439429",
+      "2.11526595508382,1.5668000319611963,0.8942795519880552,1.0122883253912072,-0.4025122968610194",
   )
 
   private lazy val actual = render()

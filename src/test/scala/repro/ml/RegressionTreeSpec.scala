@@ -72,7 +72,7 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
   test("sample subset restricts training rows") {
     val (x, y) = stepData(100, 6)
     val left = Array.range(0, 50).filter(i => x(i)(0) <= 5)
-    val t = new RegressionTree(2, 2).fit(x, y, new Random(0), RegressionTree.presort(x).sample(left))
+    val t = new RegressionTree(2, 2).fit(new RegressionTree.Binned(x), y, new Random(0), left)
     // trained only on the low side: predicts about -10 everywhere
     assert(math.abs(t.predict(Array(9.0, 0.5)) + 10.0) < 2.0)
   }
@@ -103,16 +103,28 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
     assert(Metrics.mse(y, x.map(t.predict)) < 25.0)
   }
 
-  /** Reference tree: re-sorts the node's rows at every node by the key the
-    * presort uses, (float key of the value, row index). Returns the root and
-    * importances.
+  /** Reference tree over the bins `data`: each node keeps its rows as its
+    * own array and splits them with `partition`; the root's histogram and
+    * each smaller child's (the left one on a tie) are counted from their
+    * rows, and each larger child's is its parent's minus the smaller one.
+    * Returns the root, the importances, and each split's gain in pre-order.
     */
-  private def referenceFit(x: Array[Array[Double]], y: Array[Double], rng: Random,
+  private def referenceFit(data: RegressionTree.Binned, y: Array[Double], rng: Random,
                            sample: Array[Int], maxDepth: Int, minLeaf: Int,
-                           featuresPerSplit: Int): (Node, Array[Double]) = {
-    val nFeat = x(0).length
+                           featuresPerSplit: Int): (Node, Array[Double], Vector[Double]) = {
+    val nFeat = data.nFeatures
     val imp = new Array[Double](nFeat)
-    def grow(idx: Array[Int], depth: Int): Node = {
+    val gains = Vector.newBuilder[Double]
+    // hist(f)(b) = (sum of y, count) over the rows in bin b of feature f
+    def histogram(idx: Array[Int]): Array[Array[(Double, Double)]] =
+      Array.tabulate(nFeat) { f =>
+        val h = Array.fill(data.nBins(f))((0.0, 0.0))
+        idx.foreach { j => val (s, c) = h(data.code(j, f)); h(data.code(j, f)) = (s + y(j), c + 1.0) }
+        h
+      }
+    def minus(a: Array[Array[(Double, Double)]], b: Array[Array[(Double, Double)]]) =
+      a.zip(b).map { case (ha, hb) => ha.zip(hb).map { case ((s1, c1), (s2, c2)) => (s1 - s2, c1 - c2) } }
+    def grow(idx: Array[Int], depth: Int, hist: Array[Array[(Double, Double)]]): Node = {
       val n = idx.length
       val sum = idx.foldLeft(0.0)((a, j) => a + y(j))
       val mean = sum / n
@@ -122,33 +134,30 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
       val cand =
         if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) Array.range(0, nFeat)
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
-      var (bestGain, bestFeat, bestThr) = (0.0, -1, 0.0)
+      var (bestGain, bestFeat, bestBin) = (0.0, -1, -1)
       for (f <- cand) {
-        val sorted = idx.sortWith { (a, b) =>
-          val (ka, kb) = (floatKey(x(a)(f)), floatKey(x(b)(f))); ka < kb || (ka == kb && a < b)
-        }
-        var leftSum = 0.0
-        for (k <- 0 until n - 1) {
-          leftSum += y(sorted(k))
-          val (vHere, vNext) = (x(sorted(k))(f), x(sorted(k + 1))(f))
-          if (vHere != vNext && k + 1 >= minLeaf && n - k - 1 >= minLeaf) {
-            val (nl, rightSum) = (k + 1, sum - leftSum)
+        var (leftSum, nl) = (0.0, 0.0)
+        for (b <- 0 until data.nBins(f) - 1; (s, c) = hist(f)(b) if c > 0) {
+          leftSum += s
+          nl += c
+          if (nl >= math.max(minLeaf, 1) && n - nl >= math.max(minLeaf, 1)) {
+            val rightSum = sum - leftSum
             val gain = leftSum * leftSum / nl + rightSum * rightSum / (n - nl) - sum * sum / n
-            if (gain > bestGain + 1e-12) { bestGain = gain; bestFeat = f; bestThr = (vHere + vNext) / 2.0 }
+            if (gain > bestGain + 1e-12) { bestGain = gain; bestFeat = f; bestBin = b }
           }
         }
       }
       if (bestFeat < 0) return Leaf(mean)
       imp(bestFeat) += bestGain
-      val (l, r) = idx.partition(j => x(j)(bestFeat) <= bestThr)
-      Split(bestFeat, bestThr, grow(l, depth + 1), grow(r, depth + 1))
+      gains += bestGain
+      val (l, r) = idx.partition(j => data.code(j, bestFeat) <= bestBin)
+      val small = histogram(if (l.length <= r.length) l else r)
+      val large = minus(hist, small)
+      val (hl, hr) = if (l.length <= r.length) (small, large) else (large, small)
+      Split(bestFeat, data.thresholds(bestFeat)(bestBin), grow(l, depth + 1, hl), grow(r, depth + 1, hr))
     }
-    (grow(sample, 0), imp)
-  }
-
-  private def floatKey(v: Double): Int = {
-    val raw = java.lang.Float.floatToIntBits(v.toFloat)
-    if (raw < 0) ~raw else raw ^ 0x80000000
+    val root = grow(sample, 0, histogram(sample))
+    (root, imp, gains.result())
   }
 
   /** A tree with every double as its bits, so string equality is bit equality. */
@@ -157,26 +166,48 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
     case Split(f, t, l, r) => s"S($f,${java.lang.Double.doubleToRawLongBits(t)},${bits(l)},${bits(r)})"
   }
 
-  /** Whether the presorted tree of `sample` (all rows when None) is the
-    * reference tree, bit for bit, importances included.
+  /** The sum of squared deviations from their mean of `y` over `idx`. */
+  private def sse(y: Array[Double], idx: Seq[Int]): Double = {
+    val mean = idx.map(y).sum / idx.size
+    idx.map(j => (y(j) - mean) * (y(j) - mean)).sum
+  }
+
+  /** Each split's SSE reduction over the rows of `sample` that reach it,
+    * partitioned by its threshold on their values, in pre-order.
+    */
+  private def partitionGains(root: Node, x: Array[Array[Double]], y: Array[Double],
+                             sample: Seq[Int]): Vector[Double] = root match {
+    case Leaf(_) => Vector.empty
+    case Split(f, t, l, r) =>
+      val (left, right) = sample.partition(j => x(j)(f) <= t)
+      (sse(y, sample) - sse(y, left) - sse(y, right)) +:
+        (partitionGains(l, x, y, left) ++ partitionGains(r, x, y, right))
+  }
+
+  /** Whether the tree of `sample` (all rows when None) is the reference
+    * tree, bit for bit, importances included, and whether each of its
+    * splits' gains is the SSE reduction of the partition its threshold
+    * makes, to within 1e-9 relative.
     */
   private def matchesReference(x: Array[Array[Double]], y: Array[Double], sample: Option[Array[Int]],
                                maxDepth: Int, minLeaf: Int, featuresPerSplit: Int,
                                seed: Long): Boolean = {
-    val all = RegressionTree.presort(x)
-    val tree = new RegressionTree(maxDepth, minLeaf, featuresPerSplit)
-      .fit(x, y, new Random(seed), sample.fold(all)(all.sample))
-    val (root, imp) = referenceFit(x, y, new Random(seed), sample.getOrElse(Array.range(0, x.length)),
-      maxDepth, minLeaf, featuresPerSplit)
+    val data = new RegressionTree.Binned(x)
+    val rows = sample.getOrElse(Array.range(0, x.length))
+    val tree = new RegressionTree(maxDepth, minLeaf, featuresPerSplit).fit(data, y, new Random(seed), rows)
+    val (root, imp, gains) = referenceFit(data, y, new Random(seed), rows, maxDepth, minLeaf, featuresPerSplit)
+    val real = partitionGains(tree.root, x, y, rows.toSeq)
     bits(tree.root) == bits(root) &&
       tree.importances.map(java.lang.Double.doubleToRawLongBits).sameElements(
-        imp.map(java.lang.Double.doubleToRawLongBits))
+        imp.map(java.lang.Double.doubleToRawLongBits)) &&
+      real.size == gains.size && real.zip(gains).forall { case (r, g) => math.abs(r - g) <= 1e-9 * math.abs(r) }
   }
 
-  test("presorted trees equal trees that re-sort at every node") {
-    // few distinct levels per feature, including -0.0 vs 0.0 and two doubles
-    // that share a float, so ties and near-ties are common
-    val pool = Vector(-0.0, 0.0, 1.0, 1.0 + 1e-9, 2.5, -3.0, 7.25)
+  test("histogram trees equal trees grown from each node's own rows, and record real gains") {
+    // few distinct levels per feature, including -0.0 vs 0.0, two doubles
+    // that share a float and two adjacent doubles, so ties and near-ties
+    // are common
+    val pool = Vector(-0.0, 0.0, 1.0, 1.0 + 1e-9, 2.5, -3.0, math.nextUp(2.5), 7.25)
     val gen = for {
       n <- Gen.choose(1, 40)
       nFeat <- Gen.choose(1, 5)
@@ -202,9 +233,10 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
         matchesReference(x, y, sample, maxDepth, minLeaf, featuresPerSplit, seed)
     }, minSuccessful = 500)
 
-    // Nodes large enough to scan and partition on several threads, with
-    // columns whose gains tie exactly (a duplicate) or differ only in the
-    // last bits (a jittered copy and the negation, summed in another order).
+    // Nodes with hundreds of rows, Gaussian columns with more distinct
+    // values than bins, and columns whose gains tie exactly (a duplicate)
+    // or differ only in the last bits (a jittered copy and the negation,
+    // summed in another order).
     val large = for {
       n <- Gen.choose(900, 2000)
       nFeat <- Gen.choose(8, 12)
@@ -214,7 +246,6 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
       featuresPerSplit <- Gen.oneOf(0, 3)
       seed <- Gen.choose(0L, 1000L)
     } yield (n, nFeat, bootstrap, maxDepth, minLeaf, featuresPerSplit, seed)
-    var cases, parallel = 0
     check(Prop.forAll(large) {
       case (n, nFeat, bootstrap, maxDepth, minLeaf, featuresPerSplit, seed) =>
         val rng = new Random(seed)
@@ -231,15 +262,63 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
         }
         val y = x.map(r => 0.8 * r(column(0)) + r(column(4)) + rng.nextGaussian())
         val sample = if (bootstrap) Some(Array.fill(n)(rng.nextInt(n))) else None
-        cases += 1
-        // the root scans on several threads when every feature is a
-        // candidate, and partitions on several threads unless its children
-        // are leaves
-        if (n * nFeat >= RegressionTree.ParallelFloor && (featuresPerSplit == 0 || maxDepth >= 2))
-          parallel += 1
         matchesReference(x, y, sample, maxDepth, minLeaf, featuresPerSplit, seed)
     }, minSuccessful = 40)
-    assert(parallel * 2 > cases, s"$parallel of $cases cases above the floor")
+  }
+
+  test("bins: at most 255 per feature, one per value when they fit, and thresholds partition as codes") {
+    val gen = for {
+      n <- Gen.choose(1, 1500)
+      levels <- Gen.oneOf(1, 3, 255, 256, 100000)
+      skew <- Gen.oneOf(false, true)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (n, levels, skew, seed)
+    check(Prop.forAll(gen) { case (n, levels, skew, seed) =>
+      val rng = new Random(seed)
+      // skewed columns put half the rows on one value, larger than a bin's share
+      val x = Array.fill(n)(Array(
+        if (skew && rng.nextBoolean()) 0.5 else rng.nextInt(levels) * 0.1 - 3.0,
+        if (rng.nextBoolean()) -0.0 else 0.0))
+      val data = new RegressionTree.Binned(x)
+      (0 until 2).forall { f =>
+        val distinct = x.map(_(f)).distinctBy(v => if (v == 0.0) 0.0 else v).length
+        val nb = data.nBins(f)
+        nb <= 255 && (distinct > 255 || nb == distinct) &&
+          x.indices.forall(r => (0 until nb - 1).forall(b =>
+            (x(r)(f) <= data.thresholds(f)(b)) == (data.code(r, f) <= b)))
+      }
+    }, minSuccessful = 100)
+  }
+
+  test("a split's recorded gain is the SSE reduction of the partition it makes") {
+    // two distinct doubles that share a float: the split between them and
+    // 2.0 reduces the SSE by 25, the split below 1.0 + 1e-9 by 8.33
+    val x = Array(Array(1 + 1e-9), Array(1.0), Array(2.0), Array(3.0))
+    val y = Array(0.0, 10.0, 10.0, 10.0)
+    val t = new RegressionTree(maxDepth = 1, minLeaf = 1).fit(x, y)
+    val RegressionTree.Split(0, thr, _, _) = t.root
+    val left = x.indices.filter(x(_)(0) <= thr)
+    val right = x.indices.filterNot(left.contains)
+    val reduction = sse(y, x.indices) - sse(y, left) - sse(y, right)
+    assert(math.abs(t.importances(0) - reduction) <= 1e-9 * reduction, s"${t.importances(0)} vs $reduction")
+    assert(math.abs(reduction - 25.0) <= 1e-9)
+  }
+
+  test("rejects NaN features") {
+    intercept[IllegalArgumentException](
+      new RegressionTree().fit(Array(Array(1.0), Array(Double.NaN)), Array(0.0, 1.0)))
+  }
+
+  test("each training row's fitted value is the tree's prediction for it") {
+    val rng = new Random(12)
+    val x = Array.fill(300)(Array(rng.nextGaussian(), rng.nextInt(4).toDouble, rng.nextGaussian()))
+    val y = x.map(r => r(0) + r(1) + 0.3 * rng.nextGaussian())
+    val data = new RegressionTree.Binned(x)
+    val bootstrap = Array.fill(300)(rng.nextInt(300))
+    for (rows <- Seq(x.indices.toArray, bootstrap)) {
+      val tree = new RegressionTree(4, 5).fit(data, y, new Random(1), rows)
+      rows.foreach(i => assert(data.fitted(i) == tree.predict(x(i)), s"row $i"))
+    }
   }
 
   test("ensembles fitted on several threads at once equal a lone fit") {
