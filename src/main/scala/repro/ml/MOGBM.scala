@@ -1,5 +1,7 @@
 package repro.ml
 
+import java.util.stream.IntStream
+
 /** Multi-output Gradient Boosting Model — the paper's default performance
   * estimator E (Section 2, "Estimators"): one GBM regressor per output
   * measure, fitted jointly on the same state-feature matrix so a single
@@ -18,9 +20,13 @@ final class MOGBM(
   def fit(x: Array[Array[Double]], ys: Array[Array[Double]]): this.type = {
     require(x.length == ys.length && x.nonEmpty, "MOGBM: bad input")
     require(ys.forall(_.length == nOutputs), "MOGBM: output arity mismatch")
-    models = Vector.tabulate(nOutputs) { o =>
-      new GBMRegressor(nTrees, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))
+    // each output's GBM reads only its own labels and seed, so the
+    // outputs fit at once on the common pool
+    val fitted = new Array[GBMRegressor](nOutputs)
+    IntStream.range(0, nOutputs).parallel().forEach { o =>
+      fitted(o) = new GBMRegressor(nTrees, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))
     }
+    models = fitted.toVector
     this
   }
 

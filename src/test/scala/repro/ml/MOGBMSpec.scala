@@ -48,6 +48,16 @@ class MOGBMSpec extends AnyFunSuite {
     assert(a == b)
   }
 
+  test("each output predicts as a GBM regressor fitted on it alone") {
+    val (x, ys) = data(120, 6)
+    val m = new MOGBM(3, nTrees = 15, seed = 4).fit(x, ys)
+    val lone = (0 until 3).map(o => new GBMRegressor(15, 3, 2, 4L + o).fit(x, ys.map(_(o))))
+    x.foreach { r =>
+      val bits = m.predict(r).map(java.lang.Double.doubleToRawLongBits).toSeq
+      assert(bits == lone.map(g => java.lang.Double.doubleToRawLongBits(g.predict(r))))
+    }
+  }
+
   test("estimator accuracy on a surrogate-like task (bitmap -> perf)") {
     // mimics the MODis use: features are bitmaps + size fractions
     val rng = new Random(5)
