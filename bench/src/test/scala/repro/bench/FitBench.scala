@@ -15,7 +15,7 @@ import scala.util.Random
   *  - a 4-output `MOGBM(40, 3, 2)` on 45 seeded records shaped like the
   *    surrogate's (31 state bits and 2 size fractions; outputs in (0, 1]).
   *
-  * Each fit runs 5 warm-up and 15 timed times in one JVM. It prints and
+  * Each fit runs 10 warm-up and 40 timed times in one JVM. It prints and
   * writes each fit's median and quartiles in ms to `BENCH_fit.json` in the
   * working directory.
   *
@@ -24,8 +24,8 @@ import scala.util.Random
 class FitBench extends SparkSpec {
 
   private val sf = 0.1
-  private val warmUp = 5
-  private val timed = 15
+  private val warmUp = 10
+  private val timed = 40
 
   private def quantile(v: Seq[Double], q: Double): Double = {
     val s = v.sorted

@@ -35,15 +35,13 @@ sealed abstract class GradientBoosting(
     val data = new RegressionTree.Binned(x)
     val rows = Array.range(0, y.length)
     val resid = new Array[Double](y.length)
-    var t = 0
-    while (t < nTrees) {
+    for (_ <- 0 until nTrees) {
       var i = 0
       while (i < y.length) { resid(i) = y(i) - link(scores(i)); i += 1 }
       trees :+= new RegressionTree(maxDepth, minLeaf).fit(data, resid, rng, rows)
       // each row's tree output is the leaf it landed in while the tree grew
       i = 0
       while (i < y.length) { scores(i) += learningRate * data.fitted(i); i += 1 }
-      t += 1
     }
     this
   }

@@ -20,8 +20,7 @@ final class MOGBM(
   def fit(x: Array[Array[Double]], ys: Array[Array[Double]]): this.type = {
     require(x.length == ys.length && x.nonEmpty, "MOGBM: bad input")
     require(ys.forall(_.length == nOutputs), "MOGBM: output arity mismatch")
-    // each output's GBM reads only its own labels and seed, so the
-    // outputs fit at once on the common pool
+    // each output's GBM reads only its labels and seed: all fit at once on the common pool
     val fitted = new Array[GBMRegressor](nOutputs)
     IntStream.range(0, nOutputs).parallel().forEach { o =>
       fitted(o) = new GBMRegressor(nTrees, maxDepth, minLeaf, seed + o).fit(x, ys.map(_(o)))

@@ -7,12 +7,10 @@ import scala.util.Random
   * learner behind the GBM, random-forest, and MO-GBM substrates (S8 in
   * DESIGN.md). Deterministic given the caller-provided RNG.
   *
-  * Splits are found on histograms, as in LightGBM (Ke et al., NeurIPS 2017)
-  * and XGBoost's `hist` method (Chen & Guestrin, KDD 2016). Each feature is
-  * cut into at most 255 bins once per ensemble fit ([[RegressionTree.Binned]]).
-  * A node sums y and counts its rows per bin, builds the smaller child's
-  * histogram from that child's rows, and takes the larger child's as its
-  * own minus the smaller one. A split is a boundary between two bins.
+  * Splits are found on histograms of y sums and row counts per bin, as in
+  * LightGBM (Ke et al., NeurIPS 2017) and XGBoost's `hist` method (Chen &
+  * Guestrin, KDD 2016), over bins made once per ensemble fit
+  * ([[RegressionTree.Binned]]). A split is a boundary between two bins.
   */
 final class RegressionTree(
     val maxDepth: Int = 4,
@@ -33,40 +31,38 @@ final class RegressionTree(
   def fit(x: Array[Array[Double]], y: Array[Double], rng: Random = new Random(0)): this.type =
     fit(new Binned(x), y, rng, Array.range(0, x.length))
 
-  /** Fit on the training rows `rows` of `data` (a row listed twice counts
-    * twice, as in a bootstrap). Afterwards `data.fitted` holds, for each of
-    * those rows, the value of the leaf it landed in.
+  /** Fit on `rows` of `data`, at most `data.nRows` of them (a row listed
+    * twice counts twice, as in a bootstrap). Afterwards `data.fitted` holds
+    * the value of the leaf each of those rows landed in.
     */
   def fit(data: Binned, y: Array[Double], rng: Random, rows: Array[Int]): this.type = {
-    require(data.nRows == y.length && rows.nonEmpty, "tree: empty or mismatched input")
+    require(data.nRows == y.length && rows.nonEmpty && rows.length <= data.nRows,
+      "tree: empty or mismatched input")
     importanceAcc = new Array[Double](data.nFeatures)
     rootOpt = Some(new Grower(data, y, rng, rows).root)
     this
   }
 
   def predict(xi: Array[Double]): Double = {
-    var n = root
-    while (true) {
-      n match {
-        case Leaf(v)           => return v
-        case Split(f, t, l, r) => n = if (xi(f) <= t) l else r
-      }
+    @annotation.tailrec def walk(n: Node): Double = n match {
+      case Leaf(v)           => v
+      case Split(f, t, l, r) => walk(if (xi(f) <= t) l else r)
     }
-    0.0 // unreachable
+    walk(root)
   }
 
   /** One tree's growth in `data`'s buffers: a node is a range `lo until hi`
-    * of `rows`, partitioned stably in place at every split, and its
-    * histogram is one of `data`'s histogram buffers.
+    * of `rows`, partitioned stably in place at every split. The root's
+    * histogram is `data`'s buffer 0; a node at depth `d` counts its smaller
+    * child into buffer `d + 1` and leaves the larger child its own buffer,
+    * so a pending right child's buffer is never one its left sibling's
+    * subtree writes.
     */
   private final class Grower(data: Binned, y: Array[Double], rng: Random, sample: Array[Int]) {
     private val nFeat = data.nFeatures
-    private val rows = data.rowBuffer(sample.length)
+    private val rows = data.rows
     System.arraycopy(sample, 0, rows, 0, sample.length)
-    private val allFeatures = featuresPerSplit <= 0 || featuresPerSplit >= nFeat
     private val everyFeature = Array.range(0, nFeat)
-    // a split leaves at least one row, and at least minLeaf, on each side
-    private val minSide = math.max(minLeaf, 1).toDouble
 
     /** Sum of y over `rows(lo until hi)`, in that order. */
     private def sumOf(lo: Int, hi: Int): Double = {
@@ -76,14 +72,7 @@ final class RegressionTree(
       sum
     }
 
-    /** Whether a node of `n` rows at `depth` is a leaf whatever its rows. */
-    private def leafBySize(n: Int, depth: Int): Boolean = depth >= maxDepth || n < 2 * minLeaf
-
-    val root: Node = {
-      val sum = sumOf(0, sample.length)
-      val hist = if (leafBySize(sample.length, 0)) null else data.histogram(0, rows, 0, sample.length, y)
-      grow(0, sample.length, 0, sum, hist, 1)
-    }
+    val root: Node = grow(0, sample.length, 0, sumOf(0, sample.length), null)
 
     /** The leaf of `rows(lo until hi)`: each row's fitted value is its mean. */
     private def leaf(lo: Int, hi: Int, value: Double): Node = {
@@ -92,22 +81,23 @@ final class RegressionTree(
       Leaf(value)
     }
 
-    /** The node of `rows(lo until hi)`, whose y sums to `sum` and whose
-      * histogram is `hist` (null when the node is a leaf by size).
-      * Histogram buffers from `free` on are unused.
+    /** The node of `rows(lo until hi)`, whose y sums to `sum`; `counted` is
+      * its histogram as its parent made it (null at the root, which counts
+      * its own).
       */
-    private def grow(lo: Int, hi: Int, depth: Int, sum: Double, hist: Array[Double], free: Int): Node = {
+    private def grow(lo: Int, hi: Int, depth: Int, sum: Double, counted: Array[Double]): Node = {
       val n = hi - lo
       val meanHere = sum / n
-      if (leafBySize(n, depth)) return leaf(lo, hi, meanHere)
+      if (depth >= maxDepth || n < 2 * minLeaf) return leaf(lo, hi, meanHere)
 
       var sse = 0.0
       var i = lo
       while (i < hi) { val d = y(rows(i)) - meanHere; sse += d * d; i += 1 }
       if (sse <= 1e-12) return leaf(lo, hi, meanHere)
 
+      val hist = if (counted != null) counted else data.histogram(0, lo, hi, y)
       val cand =
-        if (allFeatures) everyFeature
+        if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) everyFeature
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
 
       // the first largest gain, in candidate and bin order, above 1e-12 past the last
@@ -129,7 +119,8 @@ final class RegressionTree(
             leftSum += hist(base + 2 * b)
             nl += count
             val nr = n - nl
-            if (nl >= minSide && nr >= minSide) {
+            // at least minLeaf rows, and at least one, on each side
+            if (nl >= minLeaf && nr >= minLeaf && nr > 0) {
               val rightSum = sum - leftSum
               val g = leftSum * leftSum / nl + rightSum * rightSum / nr - parentTerm
               if (g > best + 1e-12) { best = g; feat = f; bin = b }
@@ -142,24 +133,18 @@ final class RegressionTree(
       if (feat < 0) return leaf(lo, hi, meanHere)
       importanceAcc(feat) += best
 
-      val mid = data.partition(rows, lo, hi, feat, bin)
+      val mid = data.partition(lo, hi, feat, bin)
       val (sumL, sumR) = (sumOf(lo, mid), sumOf(mid, hi))
-      // the smaller child (the left one on a tie) is counted from its rows;
-      // the larger one's histogram is this node's minus it, in place
-      var histL: Array[Double] = null
-      var histR: Array[Double] = null
-      if (depth + 1 < maxDepth) {
-        val leftSmaller = mid - lo <= hi - mid
-        val small =
-          if (leftSmaller) data.histogram(free, rows, lo, mid, y) else data.histogram(free, rows, mid, hi, y)
-        i = 0
-        while (i < hist.length) { hist(i) -= small(i); i += 1 }
-        if (leftSmaller) { histL = small; histR = hist } else { histL = hist; histR = small }
-      }
-      // the left subtree may use every buffer after both children's
-      val freeL = free + 1
-      Split(feat, data.thresholds(feat)(bin), grow(lo, mid, depth + 1, sumL, histL, freeL),
-        grow(mid, hi, depth + 1, sumR, histR, if (histR eq hist) free else freeL))
+      // the smaller child (the left one on a tie) is counted from its rows, the
+      // larger one is this node minus it, in place; leaves by depth need neither
+      val leftSmaller = mid - lo <= hi - mid
+      val (sLo, sHi) = if (leftSmaller) (lo, mid) else (mid, hi)
+      val small = if (depth + 1 == maxDepth) null else data.histogram(depth + 1, sLo, sHi, y)
+      i = 0
+      while (small != null && i < hist.length) { hist(i) -= small(i); i += 1 }
+      Split(feat, data.thresholds(feat)(bin),
+        grow(lo, mid, depth + 1, sumL, if (leftSmaller) small else hist),
+        grow(mid, hi, depth + 1, sumR, if (leftSmaller) hist else small))
     }
   }
 }
@@ -175,16 +160,13 @@ object RegressionTree {
 
   /** A training matrix `x` binned for one ensemble fit, with the buffers its
     * trees grow in; it serves one fit at a time. The bins are a function of
-    * `x` alone.
-    *
-    * Per feature: a feature with at most [[MaxBins]] distinct values has
-    * one bin per value. Otherwise the sorted values are cut greedily into
-    * bins of about equal counts that never split a value. The threshold
-    * after a bin is the midpoint between its largest value and the next
-    * value (the largest value itself when the two are adjacent doubles), so
-    * `x(r)(f) <= threshold` holds exactly for the rows in that bin or
-    * below, and a tree's `predict` partitions rows as its codes do. `-0.0`
-    * and `0.0` are one value. NaN is rejected: callers impute first.
+    * `x` alone: a feature with at most [[MaxBins]] distinct values has one
+    * bin per value, and one with more is cut greedily into bins of about
+    * equal counts that never split a value. The threshold after a bin is
+    * the midpoint between its largest value and the next value (the largest
+    * value itself when the two are adjacent doubles), so `predict`'s
+    * `x(r)(f) <= threshold` partitions rows exactly as their codes do.
+    * `-0.0` and `0.0` are one value. NaN is rejected: callers impute first.
     */
   final class Binned(x: Array[Array[Double]]) {
     require(x.nonEmpty, "tree: empty input")
@@ -194,50 +176,35 @@ object RegressionTree {
     private[ml] val thresholds: Array[Array[Double]] = new Array[Array[Double]](nFeatures)
     /** Row-major bin codes: row `r`'s code of feature `f` is at `r * nFeatures + f`. */
     private[ml] val codes: Array[Byte] = new Array[Byte](nRows * nFeatures)
-    locally {
-      // each feature's bins are a function of its column alone, so the
-      // features are binned on the common pool, whatever its size
-      val columns = new Array[Array[Byte]](nFeatures)
-      IntStream.range(0, nFeatures).parallel().forEach(f => columns(f) = bin(f))
-      var r = 0
-      while (r < nRows) {
-        var f = 0
-        while (f < nFeatures) { codes(r * nFeatures + f) = columns(f)(r); f += 1 }
-        r += 1
-      }
-    }
+    // each feature's thresholds are a function of its column, and each
+    // row's codes of its values, so both are found on the common pool
+    IntStream.range(0, nFeatures).parallel().forEach(f => thresholds(f) = cutPoints(f))
+    IntStream.range(0, nRows).parallel().forEach(r => encode(r))
     private[ml] def nBins(f: Int): Int = thresholds(f).length + 1
     /** Where each feature's bins start in a histogram. */
     private[ml] val offset: Array[Int] = thresholds.scanLeft(0)(_ + _.length + 1)
     private[ml] def code(r: Int, f: Int): Int = codes(r * nFeatures + f) & 0xff
 
-    /** The value of the leaf each training row landed in, in the last tree
-      * grown on these bins.
-      */
+    /** Each training row's leaf value in the last tree grown on these bins. */
     val fitted: Array[Double] = new Array[Double](nRows)
 
-    private var rows = new Array[Int](nRows)
-    private var spill = new Array[Int](nRows)
+    /** A tree's row list. */
+    private[ml] val rows = new Array[Int](nRows)
+    private val spill = new Array[Int](nRows)
     private val histograms = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
 
-    /** The row buffer, for a tree of `n` rows. */
-    private[ml] def rowBuffer(n: Int): Array[Int] = {
-      if (rows.length < n) { rows = new Array[Int](n); spill = new Array[Int](n) }
-      rows
-    }
-
     /** Histogram buffer `k`, filled with the sum of `y` and the count of the
-      * rows `rs(lo until hi)` in each bin, added in row order. Bin `b` of
+      * rows `rows(lo until hi)` in each bin, added in row order. Bin `b` of
       * feature `f` holds its sum at `2 * (offset(f) + b)` and its count
       * right after.
       */
-    private[ml] def histogram(k: Int, rs: Array[Int], lo: Int, hi: Int, y: Array[Double]): Array[Double] = {
+    private[ml] def histogram(k: Int, lo: Int, hi: Int, y: Array[Double]): Array[Double] = {
       while (histograms.length <= k) histograms += new Array[Double](2 * offset(nFeatures))
       val h = histograms(k)
       java.util.Arrays.fill(h, 0.0)
       var i = lo
       while (i < hi) {
-        val r = rs(i)
+        val r = rows(i)
         val yr = y(r)
         val base = r * nFeatures
         var f = 0
@@ -252,38 +219,52 @@ object RegressionTree {
       h
     }
 
-    /** Stable in-place partition of `rs(lo until hi)` into the rows whose
+    /** Stable in-place partition of `rows(lo until hi)` into the rows whose
       * code of `f` is at most `bin`, then the rest; returns the end of the
       * first part.
       */
-    private[ml] def partition(rs: Array[Int], lo: Int, hi: Int, f: Int, bin: Int): Int = {
+    private[ml] def partition(lo: Int, hi: Int, f: Int, bin: Int): Int = {
       var l = lo
       var s = 0
       var i = lo
       while (i < hi) {
-        val r = rs(i)
+        val r = rows(i)
         // both writes, then one count moves: no branch on a random bit
         val left = if (code(r, f) <= bin) 1 else 0
-        rs(l) = r; spill(s) = r
+        rows(l) = r; spill(s) = r
         l += left; s += 1 - left
         i += 1
       }
-      System.arraycopy(spill, 0, rs, l, s)
+      System.arraycopy(spill, 0, rows, l, s)
       l
     }
 
-    /** Bins feature `f`: sets its thresholds and returns each row's code,
-      * the first bin whose threshold the row's value is at most, else the last.
+    /** Writes row `r`'s codes: for each feature, the first bin whose
+      * threshold the row's value is at most, else the last.
       */
-    private def bin(f: Int): Array[Byte] = {
-      val column = new Array[Double](nRows)
-      var r = 0
-      while (r < nRows) { column(r) = x(r)(f); r += 1 }
-      val v = column.clone()
+    private def encode(r: Int): Unit = {
+      var f = 0
+      while (f < nFeatures) {
+        // the count of thresholds below the value, in steps that do not depend on it
+        val t = thresholds(f)
+        val value = x(r)(f)
+        var base = 0
+        var len = t.length
+        while (len > 1) { val half = len >>> 1; if (t(base + half) < value) base += half; len -= half }
+        codes(r * nFeatures + f) = (if (len == 1 && t(base) < value) base + 1 else base).toByte
+        f += 1
+      }
+    }
+
+    /** Feature `f`'s thresholds. */
+    private def cutPoints(f: Int): Array[Double] = {
+      val v = new Array[Double](nRows)
+      var i = 0
+      while (i < nRows) { v(i) = x(i)(f); i += 1 }
       java.util.Arrays.sort(v)
       require(!v(nRows - 1).isNaN, s"tree: feature $f has NaN")
       var distinct = 1
-      var i = 1
+      i = 1
       while (i < nRows) { if (v(i) != v(i - 1)) distinct += 1; i += 1 }
       val cuts = new Array[Double](math.min(distinct, MaxBins) - 1)
       var bins = 1
@@ -292,29 +273,14 @@ object RegressionTree {
         // a new value after i rows: close the bin here when every value has
         // its own, or once the bin holds its share of the rows
         if (v(i) != v(i - 1) && (distinct <= MaxBins || i.toLong * MaxBins >= bins.toLong * nRows)) {
-          val a = v(i - 1)
-          val b = v(i)
+          val (a, b) = (v(i - 1), v(i))
           val mid = (a + b) / 2.0
           cuts(bins - 1) = if (a <= mid && mid < b) mid else a
           bins += 1
         }
         i += 1
       }
-      val t = java.util.Arrays.copyOf(cuts, bins - 1)
-      thresholds(f) = t
-      val out = new Array[Byte](nRows)
-      r = 0
-      while (r < nRows) {
-        // the count of thresholds below the value, by a search whose steps
-        // do not depend on the value
-        val value = column(r)
-        var base = 0
-        var len = t.length
-        while (len > 1) { val half = len >>> 1; if (t(base + half) < value) base += half; len -= half }
-        out(r) = (if (len == 1 && t(base) < value) base + 1 else base).toByte
-        r += 1
-      }
-      out
+      java.util.Arrays.copyOf(cuts, bins - 1)
     }
   }
 
