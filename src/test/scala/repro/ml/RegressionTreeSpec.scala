@@ -203,7 +203,7 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
       real.size == gains.size && real.zip(gains).forall { case (r, g) => math.abs(r - g) <= 1e-9 * math.abs(r) }
   }
 
-  test("histogram trees equal trees grown from each node's own rows, and record real gains") {
+  test("histogram trees equal trees grown per node and record real gains") {
     // few distinct levels per feature, including -0.0 vs 0.0, two doubles
     // that share a float and two adjacent doubles, so ties and near-ties
     // are common
