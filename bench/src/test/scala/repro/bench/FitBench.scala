@@ -38,9 +38,8 @@ class FitBench extends SparkSpec {
   /** s_U's train split of a Table lake, mean-imputed, as `TabularTask.evaluate` fits it. */
   private def trainSplit(name: String): (Array[Array[Double]], Array[Double]) = {
     val uni = Universal.build(Runner.lakeByName(spark, name, sf))
-    val keys = uni.driverCopy.keys
-    val data = uni.project(uni.layout.attrs)
-    val train = keys.indices.filter(keys(_) % 5 != 0).toArray
+    val data = uni.driverCopy
+    val train = data.keys.indices.filter(data.keys(_) % 5 != 0).toArray
     (data.imputedRows(train, data.columnMeans(train)), train.map(data.y))
   }
 

@@ -32,7 +32,7 @@ object Metam {
                      score: Map[String, Double] => Double): Vector[String] = {
     val lake = task.lake
     def evalScore(attrs: Vector[String]): Option[Double] =
-      task.evaluate(u.driverCopy.keys, u.project(attrs)).map(r => score(r.raw))
+      task.evaluate(u.project(attrs)).map(r => score(r.raw))
     // join the best remaining candidate while it improves the score
     def grow(current: Vector[String], currentScore: Double, remaining: Seq[LakeTable]): Vector[String] = {
       val scored = remaining.flatMap(t => evalScore(current ++ lake.attrsOf(t)).map(t -> _))

@@ -133,7 +133,7 @@ private[core] final class ModisEngine(
   private def trimDiverse(): Unit = {
     val pool = grid.entries
     if (pool.size <= cfg.k) return
-    val kept = ModisEngine.diversify(pool, cfg.k, cfg.alpha, rng)
+    val kept = ModisEngine.diversify(pool, cfg.k, alpha = 0.5, rng)
     grid.retain(kept.map(_._1).toSet)
   }
 }

@@ -30,11 +30,10 @@ object Runner {
                         cfg: ModisConfig): Vector[MethodReport] = {
     val lake = lakeByName(spark, lakeName, sf)
     val universal = Universal.build(lake)
-    val keys = universal.driverCopy.keys
     // s_U is D_U itself: one driver-side evaluation calibrates and gives the Original row
-    val data = universal.project(universal.layout.attrs)
+    val data = universal.driverCopy
     val task0 = TabularTask.forLake(lake)
-    val sU = task0.evaluate(keys, data).getOrElse(
+    val sU = task0.evaluate(data).getOrElse(
       throw new IllegalStateException(s"Original produced an unusable table for $lakeName"))
     val task = task0.calibrated(sU)
     val primary = primaryMeasure(lakeName)
@@ -45,7 +44,7 @@ object Runner {
       val t0 = System.nanoTime()
       val attrs = baseline
       val secs = (System.nanoTime() - t0) / 1e9
-      val r = task.evaluate(keys, universal.project(attrs)).getOrElse(
+      val r = task.evaluate(universal.project(attrs)).getOrElse(
         throw new IllegalStateException(s"$name produced an unusable table for $lakeName"))
       MethodReport(name, r.raw, r.rows, r.cols, secs)
     }

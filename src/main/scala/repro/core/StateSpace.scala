@@ -69,16 +69,6 @@ trait StateSpace {
     */
   def minRows: Int = TabularTask.MinRows
 
-  /** Surrogate input features for a state: bitmap ++ [row fraction, column
-    * fraction] (the estimator learns performance from these).
-    */
-  def features(s: State): Array[Double] =
-    s.toVector ++ Array(
-      rowCountEstimate(s).toDouble / fullRows,
-      layout.attrsOf(s).size.toDouble / math.max(1, layout.attrs.size))
-
-  private lazy val fullRows: Long = math.max(1L, rowCountEstimate(full))
-
   /** The measure set P (normalized, minimized). */
   def measures: Vector[Measure]
 }
@@ -93,7 +83,7 @@ final class TabularSpace(val universal: UniversalTable, val task: TabularTask) e
 
   // No Spark job per state: the task reads the state's rows in place in D_U's driver copy.
   override def evaluate(s: State): Option[EvalResult] = cached(s) {
-    task.evaluate(universal.driverCopy.keys, universal.project(layout.attrsOf(s)), universal.rowIndices(s))
+    task.evaluate(universal.project(layout.attrsOf(s)), universal.rowIndices(s))
   }
 
   override def rowCountEstimate(s: State): Long = universal.rowCount(s)

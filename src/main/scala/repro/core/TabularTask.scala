@@ -53,27 +53,24 @@ final class TabularTask(
     * states, Runner's s_U and the baselines' outputs) in place on the
     * driver copy of D_U.
     */
-  def evaluate(df: DataFrame): Option[EvalResult] = {
-    val (keys, data) = Frame.collect(df, lake.key, lake.target, df.columns.toSeq)
-    evaluate(keys, data)
-  }
+  def evaluate(df: DataFrame): Option[EvalResult] =
+    evaluate(Frame.collect(df, lake.key, lake.target, df.columns.toSeq))
 
   /** Evaluate every row of a dataset held in the driver. */
-  def evaluate(keys: Array[Long], data: Frame): Option[EvalResult] =
-    evaluate(keys, data, Array.range(0, data.nRows))
+  def evaluate(data: Frame): Option[EvalResult] = evaluate(data, Array.range(0, data.nRows))
 
   /** Evaluate the increasing `rows` of a dataset held in the driver: row `r`
-    * has key `keys(r)`, label `data.y(r)` and features `data.cols(_)(r)`
-    * (NaN = missing). The fit, the predictions and the Fisher and MI scores
-    * all read one gather of the rows, mean-imputed with train-split
-    * statistics. None when the rows are too few to train or
+    * has key `data.keys(r)`, label `data.y(r)` and features
+    * `data.cols(_)(r)` (NaN = missing). The fit, the predictions and the
+    * Fisher and MI scores all read one gather of the rows, mean-imputed
+    * with train-split statistics. None when the rows are too few to train or
     * (classification) the train split misses a class.
     */
-  def evaluate(keys: Array[Long], data: Frame, rows: Array[Int]): Option[EvalResult] = {
+  def evaluate(data: Frame, rows: Array[Int]): Option[EvalResult] = {
     val n = rows.length
     if (data.nCols == 0 || n < MinRows) return None
     // positions in `rows`, split on the key hash
-    val isTest = rows.map(keys(_) % 5 == 0)
+    val isTest = rows.map(data.keys(_) % 5 == 0)
     val trPos = (0 until n).filterNot(isTest(_)).toArray
     val tePos = (0 until n).filter(isTest(_)).toArray
     if (trPos.length < MinRows / 2 || tePos.length < 10) return None

@@ -86,9 +86,8 @@ final case class ModisConfig(
     n: Int = 120,
     eps: Double = 0.1,
     maxl: Int = 6,
-    /** diversification size k and balance α (DivMODis) */
+    /** diversification size k (DivMODis) */
     k: Int = 8,
-    alpha: Double = 0.5,
     /** Spearman threshold θ of the correlation graph G_C */
     theta: Double = 0.8,
     /** exact valuations used to bootstrap the MO-GBM estimator */

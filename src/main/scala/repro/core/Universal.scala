@@ -13,7 +13,8 @@ import repro.util.KMeans1D
   * filters.
   *
   * The search's states and the baselines' outputs are evaluated in place
-  * on [[driverCopy]], D_U collected into the driver once at build, as a
+  * on [[driverCopy]], D_U collected into the driver once at build (key,
+  * target and every layout attribute, in `layout.attrs` order), as a
   * [[project]]ion of its columns and a state's [[rowIndices]];
   * [[materialize]] stays the Spark reference the oracle checks. `df` is
   * not cached: each Spark job over it re-runs the join.
@@ -24,7 +25,8 @@ final case class UniversalTable(
     target: String,
     layout: BitLayout,
     clusterings: Map[String, KMeans1D.Clustering],
-    driverCopy: DriverCopy,
+    driverCopy: Frame,
+    combinations: Combinations,
 ) {
   def hiddenCol(segAttr: String): String = s"__cl_$segAttr"
 
@@ -46,29 +48,26 @@ final case class UniversalTable(
       else acc && col(hiddenCol(seg)).isin(allowed.toSeq: _*)
     }
 
-  /** Row counts per combination of cluster ids (one per segment attribute,
-    * in layout.segAttrs order): a driver-side contingency table giving any
-    * state's row count for free (used by BiMODis' correlation-based pruning).
+  /** Which of D_U's cluster combinations a state keeps: those whose every
+    * cluster it leaves unmasked.
     */
-  lazy val segCounts: Map[Vector[Int], Long] =
-    driverCopy.keys.indices.groupMapReduce(r => driverCopy.clusterIds.map(_(r)).toVector)(_ => 1L)(_ + _)
-
-  private lazy val combos: Array[(Array[Int], Long)] =
-    segCounts.iterator.map { case (combo, c) => (combo.toArray, c) }.toArray
-
-  /** One allowed-cluster mask per segment attribute (layout.segAttrs order). */
-  private def allowed(s: State): Array[Array[Boolean]] =
-    layout.segBits.iterator.map(bits => Array.tabulate(bits.size)(c => s(bits.start + c))).toArray
-
-  /** Exact row count of a state's dataset, from the contingency table. */
-  def rowCount(s: State): Long = {
-    val ok = allowed(s)
-    var total = 0L
-    for ((combo, c) <- combos) {
+  private def kept(s: State): Array[Boolean] = {
+    val ok = layout.segBits.iterator.map(bits => Array.tabulate(bits.size)(c => s(bits.start + c))).toArray
+    combinations.clusters.map { cl =>
       var i = 0
-      while (i < ok.length && ok(i)(combo(i))) i += 1
-      if (i == ok.length) total += c
+      while (i < cl.length && ok(i)(cl(i))) i += 1
+      i == cl.length
     }
+  }
+
+  /** Exact row count of a state's dataset: the rows of the combinations it
+    * keeps (BiMODis' correlation-based pruning reads it as |D|).
+    */
+  def rowCount(s: State): Long = {
+    val k = kept(s)
+    var total = 0L
+    var c = 0
+    while (c < k.length) { if (k(c)) total += combinations.counts(c); c += 1 }
     total
   }
 
@@ -76,37 +75,34 @@ final case class UniversalTable(
     * driver-side twin of [[rowPredicate]].
     */
   def rowIndices(s: State): Array[Int] = {
-    val ok = allowed(s)
-    val ids = driverCopy.clusterIds
-    val n = driverCopy.keys.length
-    val out = new Array[Int](n)
+    val k = kept(s)
+    val ofRow = combinations.ofRow
+    val out = new Array[Int](ofRow.length)
     var m = 0
     var r = 0
-    while (r < n) {
-      var i = 0
-      while (i < ok.length && ok(i)(ids(i)(r))) i += 1
-      if (i == ok.length) { out(m) = r; m += 1 }
+    while (r < ofRow.length) {
+      if (k(ofRow(r))) { out(m) = r; m += 1 }
       r += 1
     }
     java.util.Arrays.copyOf(out, m)
   }
 
-  /** The listed attributes and the target of [[driverCopy]], as references
-    * to its columns: on a state's [[rowIndices]], what `Frame.collect` gives
-    * for `materialize(s)`, with no copy and no Spark job.
+  /** The listed attributes of [[driverCopy]], sharing its keys, target and
+    * columns: on a state's [[rowIndices]], what `Frame.collect` gives for
+    * `materialize(s)`, with no copy and no Spark job.
     */
   def project(attrs: Seq[String]): Frame =
-    Frame(attrs.toVector, attrs.map(a => driverCopy.attrs(layout.attrIdx(a))).toArray, driverCopy.target)
+    driverCopy.copy(names = attrs.toVector, cols = attrs.map(a => driverCopy.cols(layout.attrIdx(a))).toArray)
 }
 
-/** D_U collected into the driver, one array per column, rows in key order:
-  * the key and target, each layout attribute (NaN for null) by
-  * `layout.attrs` index, and each segment attribute's cluster ids by
-  * `layout.segAttrs` index. The ids are assigned in the driver from the
-  * clusterings; they equal the `__cl_*` values Spark computes.
+/** The cluster combinations D_U's rows hold, numbered in order of first
+  * appearance in key order: combination `c` has cluster id `clusters(c)(i)`
+  * for segment attribute `i` (`layout.segAttrs` order) and `counts(c)` rows,
+  * and row `r` of the driver copy holds combination `ofRow(r)`. The driver
+  * assigns the ids; they equal the `__cl_*` values Spark computes. With no
+  * segment attribute, every row holds the one empty combination.
   */
-final case class DriverCopy(keys: Array[Long], target: Array[Double],
-                            attrs: Array[Array[Double]], clusterIds: Array[Array[Int]])
+final case class Combinations(clusters: Array[Array[Int]], counts: Array[Long], ofRow: Array[Int])
 
 object Universal {
 
@@ -124,8 +120,8 @@ object Universal {
     var df = lake.base.df
     for (t <- lake.aux) df = df.join(t.df, Seq(lake.key), "left_outer")
 
-    val attrs = lake.featureAttrs.toVector
-    val (keys, f) = Frame.collect(df, lake.key, lake.target, attrs)
+    val f = Frame.collect(df, lake.key, lake.target, lake.featureAttrs)
+    val (attrs, keys) = (f.names, f.keys)
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate ${lake.key} values")
 
@@ -136,7 +132,12 @@ object Universal {
       require(!v.exists(_.isNaN), s"segment attribute $a has nulls or NaN in D_U; no cluster covers them")
       a -> KMeans1D.fit(v, MaxK)
     }.toMap
-    val ids = segAttrs.map(a => f.cols(attrs.indexOf(a)).map(clusterings(a).assign)).toArray
+    val segCols = segAttrs.map(a => (f.cols(attrs.indexOf(a)), clusterings(a)))
+    val rowIds = Array.tabulate(f.nRows)(r => segCols.map { case (v, cl) => cl.assign(v(r)) })
+    val held = rowIds.distinct
+    val ofRow = rowIds.map(held.zipWithIndex.toMap)
+    val counts = new Array[Long](held.length)
+    ofRow.foreach(counts(_) += 1)
 
     // hidden cluster-id columns via boundary CASE chains (pure Catalyst)
     for (a <- segAttrs) {
@@ -148,6 +149,7 @@ object Universal {
     }
 
     val layout = BitLayout(attrs, segAttrs.map(a => a -> clusterings(a).k))
-    UniversalTable(df, lake.key, lake.target, layout, clusterings, DriverCopy(keys, f.y, f.cols, ids))
+    UniversalTable(df, lake.key, lake.target, layout, clusterings, f,
+      Combinations(held.map(_.toArray), counts, ofRow))
   }
 }

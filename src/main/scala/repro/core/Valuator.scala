@@ -39,7 +39,8 @@ final class SurrogateValuator(space: StateSpace, bootstrap: Int) extends Valuato
 
   override def valuate(s: State): Option[Array[Double]] =
     memo.getOrElseUpdate(s,
-      if (exactCount < bootstrap || memo.size % SurrogateValuator.ExactEvery == 0) {
+      // exact until the bootstrap is done and the surrogate has a usable record to fit
+      if (exactCount < bootstrap || exactRecords.isEmpty || memo.size % SurrogateValuator.ExactEvery == 0) {
         surrogate = None // refit lazily with the enlarged record set
         exactCount += 1
         val v = space.evaluate(s).map(_.norm)
@@ -48,15 +49,24 @@ final class SurrogateValuator(space: StateSpace, bootstrap: Int) extends Valuato
       } else {
         if (surrogate.isEmpty) fitSurrogate()
         if (!space.admissible(s) || space.rowCountEstimate(s) < space.minRows) None
-        else Some(surrogate.get.predict(space.features(s)).map(Stats.clip(_, 1e-3, 1.5)))
+        else Some(surrogate.get.predict(features(s)).map(Stats.clip(_, 1e-3, 1.5)))
       })
 
   override def exact(s: State): Option[EvalResult] = space.evaluate(s)
 
+  /** Surrogate input features for a state: bitmap ++ [row fraction, column
+    * fraction] (the estimator learns performance from these).
+    */
+  private[core] def features(s: State): Array[Double] =
+    s.toVector ++ Array(
+      space.rowCountEstimate(s).toDouble / fullRows,
+      space.layout.attrsOf(s).size.toDouble / math.max(1, space.layout.attrs.size))
+
+  private lazy val fullRows: Long = math.max(1L, space.rowCountEstimate(space.full))
+
   private def fitSurrogate(): Unit = {
-    require(exactRecords.nonEmpty, "surrogate bootstrap produced no usable records")
     val m = new MOGBM(nOutputs = space.measures.length, nTrees = 40, maxDepth = 3, minLeaf = 2)
-    m.fit(exactRecords.map(r => space.features(r._1)).toArray, exactRecords.map(_._2).toArray)
+    m.fit(exactRecords.map(r => features(r._1)).toArray, exactRecords.map(_._2).toArray)
     surrogate = Some(m)
   }
 

@@ -3,18 +3,19 @@ package repro.ml
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 
-/** A small in-driver table, column-major: one array per feature and the
-  * label column `y`, all of `y`'s length. Every model in the paper's
-  * evaluation trains on such a table (their pipeline collects the
-  * discovered table into pandas/sklearn; ours collects it with
+/** A small in-driver table, column-major: the key column `keys`, one array
+  * per feature and the label column `y`, all of `y`'s length. Every model
+  * in the paper's evaluation trains on such a table (their pipeline
+  * collects the discovered table into pandas/sklearn; ours collects it with
   * [[Frame.collect]], or reads a state's rows out of D_U's driver copy).
   *
   * Missing values (nulls from outer joins) arrive as NaN. A fit takes
   * [[columnMeans]] over its train rows and gathers its rows with
   * [[imputedRows]], the one copy of a dataset's cells before the fit.
   */
-final case class Frame(names: Vector[String], cols: Array[Array[Double]], y: Array[Double]) {
-  require(cols.length == names.length && cols.forall(_.length == y.length), "Frame: column length mismatch")
+final case class Frame(keys: Array[Long], names: Vector[String], cols: Array[Array[Double]], y: Array[Double]) {
+  require(keys.length == y.length && cols.length == names.length && cols.forall(_.length == y.length),
+    "Frame: column length mismatch")
   def nRows: Int = y.length
   def nCols: Int = names.length
 
@@ -43,17 +44,17 @@ final case class Frame(names: Vector[String], cols: Array[Array[Double]], y: Arr
 
 object Frame {
 
-  /** Collect a table into the driver, rows sorted by `key`: the keys, and a
-    * Frame of `label` and the listed features (null → NaN; `key` and
-    * `label` are never features). This is the one path from a table to a
-    * feature matrix. Key order makes every fit on the result independent of
-    * Spark's partitioning.
+  /** Collect a table into the driver, rows sorted by `key`: a Frame of
+    * `key`, `label` and the listed features (null → NaN; `key` and `label`
+    * are never features). This is the one path from a table to a feature
+    * matrix. Key order makes every fit on the result independent of Spark's
+    * partitioning.
     */
-  def collect(df: DataFrame, key: String, label: String, features: Seq[String]): (Array[Long], Frame) = {
+  def collect(df: DataFrame, key: String, label: String, features: Seq[String]): Frame = {
     val cols = features.filterNot(c => c == key || c == label).toVector
     val rows = df.select((key +: label +: cols).map(col): _*).collect().sortBy(_.getLong(0))
-    (rows.map(_.getLong(0)),
-      Frame(cols, Array.tabulate(cols.length)(j => rows.map(doubleAt(_, j + 2))), rows.map(doubleAt(_, 1))))
+    Frame(rows.map(_.getLong(0)), cols,
+      Array.tabulate(cols.length)(j => rows.map(doubleAt(_, j + 2))), rows.map(doubleAt(_, 1)))
   }
 
   /** Cell `i` of a collected row as a Double, null as NaN. */

@@ -22,7 +22,7 @@ class BaselineOutputSpec extends SparkSpec {
     private val full = State.full(uni.layout.width)
     private val sU = uni.project(uni.layout.attrs)
     private val task0 = TabularTask.forLake(lake)
-    val task: TabularTask = task0.calibrated(task0.evaluate(uni.driverCopy.keys, sU).get)
+    val task: TabularTask = task0.calibrated(task0.evaluate(sU).get)
 
     lazy val lists: Map[String, Vector[String]] = Map(
       "METAM" -> Metam.run(uni, task, Runner.primaryMeasure(name)),
@@ -32,7 +32,7 @@ class BaselineOutputSpec extends SparkSpec {
       "H2O" -> FeatureSelect.h2o(sU, task))
 
     /** The listed attributes over every row of D_U's driver copy. */
-    def cut(attrs: Vector[String]): (Array[Long], Frame) = (uni.driverCopy.keys, uni.project(attrs))
+    def cut(attrs: Vector[String]): Frame = uni.project(attrs)
 
     /** The baseline's output as Spark builds it: the base left-joined with
       * the aux tables the list draws on, in the list's order (METAM,
@@ -96,8 +96,7 @@ class BaselineOutputSpec extends SparkSpec {
     test(s"$name: each baseline's driver cut evaluates as its Spark table") {
       val f = fixtures(name)
       f.lists.foreach { case (method, attrs) =>
-        val (ids, frame) = f.cut(attrs)
-        val driver = f.task.evaluate(ids, frame).getOrElse(fail(s"$method: driver cut unusable"))
+        val driver = f.task.evaluate(f.cut(attrs)).getOrElse(fail(s"$method: driver cut unusable"))
         val ref = f.task.evaluate(f.sparkTable(method, attrs)).getOrElse(fail(s"$method: Spark table unusable"))
         assertSame(f.task, s"$name $method", driver, ref)
       }

@@ -14,7 +14,7 @@ private object Cut {
   def rows(uni: UniversalTable, attrs: Seq[String]): Array[Double] = uni.project(attrs).y
 
   def evaluate(uni: UniversalTable, task: TabularTask, attrs: Seq[String]): Option[EvalResult] =
-    task.evaluate(uni.driverCopy.keys, uni.project(attrs))
+    task.evaluate(uni.project(attrs))
 }
 
 class MetamSpec extends SparkSpec {
@@ -63,7 +63,7 @@ class StarmieSpec extends SparkSpec {
   private lazy val uni = Universal.build(lake)
 
   test("column sketch has histogram + moment entries") {
-    val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality"))._2.cols(0)
+    val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality")).cols(0)
     val s = Starmie.columnSketch(vals)
     assert(s.length == Starmie.Bins + 2)
     assert(math.abs(s.take(Starmie.Bins).sum - 1.0) < 1e-6)

@@ -15,7 +15,7 @@ class BackStartSpec extends SparkSpec {
     val lake = Runner.lakeByName(spark, name, 0.01)
     val uni = Universal.build(lake)
     val task0 = TabularTask.forLake(lake)
-    new TabularSpace(uni, task0.calibrated(task0.evaluate(uni.driverCopy.keys, uni.project(uni.layout.attrs)).get)).backStart
+    new TabularSpace(uni, task0.calibrated(task0.evaluate(uni.project(uni.layout.attrs)).get)).backStart
   }
 
   // Recorded at SF 0.01, not derived: any change is a change of behaviour.

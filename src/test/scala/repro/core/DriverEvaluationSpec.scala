@@ -23,7 +23,8 @@ class DriverEvaluationSpec extends SparkSpec {
       * segment attribute, the combination with the fewest rows.
       */
     val smallest: State = {
-      val combo = uni.segCounts.toSeq.minBy { case (c, n) => (n, c.mkString(",")) }._1
+      val cs = uni.combinations
+      val combo = cs.clusters(cs.counts.indices.minBy(c => (cs.counts(c), cs.clusters(c).mkString(","))))
       l.segAttrs.zipWithIndex.foldLeft(space.full) { case (s, (seg, i)) =>
         (0 until uni.clusterings(seg).k).filter(_ != combo(i))
           .foldLeft(s)((t, c) => t.clear(l.clusterIdx(seg, c)))
@@ -94,12 +95,12 @@ class DriverEvaluationSpec extends SparkSpec {
     // every other attribute dropped, cluster 0 of each segment attribute masked
     val s = l.attrs.indices.filter(_ % 2 == 1).foldLeft(
       l.segAttrs.foldLeft(house.space.full)((t, seg) => t.clear(l.clusterIdx(seg, 0))))(_.clear(_))
-    val (keys, d, rows) = (u.driverCopy.keys, u.project(l.attrsOf(s)), u.rowIndices(s))
+    val (d, rows) = (u.project(l.attrsOf(s)), u.rowIndices(s))
     val schema = StructType(StructField(u.key, LongType, nullable = false) +:
       StructField(u.target, DoubleType, nullable = false) +:
       d.names.map(StructField(_, DoubleType, nullable = true)))
     val driverRows = rows.toSeq.map { r =>
-      Row.fromSeq(keys(r) +: d.y(r) +: d.cols.toSeq.map(c => if (c(r).isNaN) null else c(r)))
+      Row.fromSeq(d.keys(r) +: d.y(r) +: d.cols.toSeq.map(c => if (c(r).isNaN) null else c(r)))
     }
     val driverDf = spark.createDataFrame(spark.sparkContext.parallelize(driverRows, 2), schema)
     val select = (s"CAST(${u.key} AS BIGINT) AS ${u.key}" +:

@@ -183,6 +183,13 @@ class EngineSpec extends AnyFunSuite {
     assert(repro.util.Stats.pearson(est, tru) > 0.0 || est.distinct.length == 1)
   }
 
+  test("surrogate valuator stays exact until a bootstrap valuation is usable") {
+    val space = new SyntheticSpace()
+    val v = new SurrogateValuator(space, bootstrap = 1)
+    assert(v.valuate(State.empty(space.layout.width)).isEmpty)
+    assert(v.valuate(space.full).map(_.toSeq) == Some(space.perf(space.full).toSeq))
+  }
+
   test("exact valuator memoizes (count = unique states)") {
     val space = new SyntheticSpace()
     val v = new SurrogateValuator(space, bootstrap = Int.MaxValue)

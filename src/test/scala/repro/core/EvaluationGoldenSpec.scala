@@ -30,7 +30,7 @@ class EvaluationGoldenSpec extends SparkSpec {
     def sU: String = render(space.evaluate(space.full))
 
     def digest: String = {
-      val (_, frame) = Frame.collect(uni.materialize(space.full), uni.key, uni.target, l.attrs)
+      val frame = Frame.collect(uni.materialize(space.full), uni.key, uni.target, l.attrs)
       val selected = Seq(FeatureSelect.skSFM(frame, task), FeatureSelect.h2o(frame, task)).map { attrs =>
         l.attrs.filterNot(attrs.contains).foldLeft(space.full)((s, a) => s.clear(l.attrIdx(a)))
       }

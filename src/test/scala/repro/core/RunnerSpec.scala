@@ -39,7 +39,7 @@ class RunnerSpec extends SparkSpec {
       // Original is s_U evaluated from the driver copy, apart from the wall-clock train time
       val lake = Runner.lakeByName(spark, name, 0.01)
       val uni = Universal.build(lake)
-      val ref = TabularTask.forLake(lake).evaluate(uni.driverCopy.keys, uni.project(uni.layout.attrs)).get
+      val ref = TabularTask.forLake(lake).evaluate(uni.project(uni.layout.attrs)).get
       val original = reports.head
       assert(original.raw - "train" == ref.raw - "train")
       assert((original.rows.toInt, original.cols) == (ref.rows, ref.cols))

@@ -57,29 +57,36 @@ class TabularSpaceSpec extends SparkSpec {
   }
 
   test("rowCountEstimate equals materialized count on sample states") {
-    val l = space.layout
-    val seg = l.segAttrs.head
-    // random states masking a random subset of clusters on every segment attribute
-    val rng = new scala.util.Random(17)
-    val masked = Seq.fill(12) {
-      l.segAttrs.foldLeft(space.full) { (s, a) =>
-        val k = uni.clusterings(a).k
-        rng.shuffle((0 until k).toList).take(1 + rng.nextInt(k)).foldLeft(s)((t, c) => t.clear(l.clusterIdx(a, c)))
+    Seq("movie", "house", "avocado", "mental").foreach { name =>
+      val lake = Runner.lakeByName(spark, name, 0.01)
+      val uni = Universal.build(lake)
+      val space = new TabularSpace(uni, TabularTask.forLake(lake))
+      val l = space.layout
+      val seg = l.segAttrs.head
+      // random states masking a random subset of clusters on every segment attribute
+      val rng = new scala.util.Random(17)
+      val masked = Seq.fill(12) {
+        l.segAttrs.foldLeft(space.full) { (s, a) =>
+          val k = uni.clusterings(a).k
+          rng.shuffle((0 until k).toList).take(1 + rng.nextInt(k)).foldLeft(s)((t, c) => t.clear(l.clusterIdx(a, c)))
+        }
       }
-    }
-    val states = Seq(
-      space.full,
-      space.full.clear(l.clusterIdx(seg, 0)),
-      space.backStart) ++ masked
-    states.foreach { s =>
-      val expected = uni.materialize(s).count()
-      assert(space.rowCountEstimate(s) == expected, s"state $s")
-      assert(uni.rowIndices(s).length == expected, s"state $s")
+      val states = Seq(
+        space.full,
+        space.full.clear(l.clusterIdx(seg, 0)),
+        space.backStart) ++ masked
+      states.foreach { s =>
+        val keys = uni.materialize(s).select(uni.key).collect().map(_.getLong(0)).sorted
+        val expected = keys.length.toLong
+        assert(space.rowCountEstimate(s) == expected, s"$name state $s")
+        assert(uni.rowIndices(s).length == expected, s"$name state $s")
+        assert(uni.rowIndices(s).map(uni.driverCopy.keys).toSeq == keys.toSeq, s"$name state $s")
+      }
     }
   }
 
   test("features vector has bitmap + 2 fractions") {
-    val f = space.features(space.full)
+    val f = new SurrogateValuator(space, bootstrap = 0).features(space.full)
     assert(f.length == space.layout.width + 2)
     assert(f.last == 1.0) // all columns kept
     assert(f(space.layout.width) == 1.0) // all rows kept

@@ -37,8 +37,8 @@ class UniversalSpec extends SparkSpec {
     assert(uni.clusterings("seg_quality").k >= 3)
   }
 
-  test("segCounts contingency sums to the row count") {
-    assert(uni.segCounts.values.sum == uni.df.count())
+  test("combination counts sum to the row count") {
+    assert(uni.combinations.counts.sum == uni.df.count())
   }
 
   test("rowCount of the full state equals the table size") {
@@ -115,15 +115,17 @@ class UniversalSpec extends SparkSpec {
     val rows = uni.df.select((uni.key +: segs.map(uni.hiddenCol)).map(uni.df.col): _*)
       .collect().sortBy(_.getLong(0))
     assert(d.keys.toSeq == rows.map(_.getLong(0)).toSeq)
-    segs.indices.foreach(i => assert(d.clusterIds(i).toSeq == rows.map(_.getInt(i + 1)).toSeq))
-    assert(d.attrs.length == uni.layout.attrs.size && d.attrs.forall(_.length == d.keys.length))
+    val cs = uni.combinations
+    segs.indices.foreach(i => assert(cs.ofRow.toSeq.map(cs.clusters(_)(i)) == rows.map(_.getInt(i + 1)).toSeq))
+    assert(d.cols.length == uni.layout.attrs.size && d.cols.forall(_.length == d.keys.length))
   }
 
-  test("oracle: segCounts equals DuckDB GROUP BY over the cluster ids") {
+  test("oracle: combination counts equal DuckDB GROUP BY over the cluster ids") {
     val segs = uni.layout.segAttrs
     val schema = StructType(segs.indices.map(i => StructField(s"c$i", IntegerType, nullable = false)) :+
       StructField("n", LongType, nullable = false))
-    val rows = uni.segCounts.toSeq.map { case (combo, n) => Row.fromSeq(combo :+ n) }
+    val cs = uni.combinations
+    val rows = cs.clusters.indices.map(c => Row.fromSeq(cs.clusters(c).toSeq :+ cs.counts(c)))
     val counts = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
     val ids = segs.map(uni.hiddenCol)
     val select = ids.zipWithIndex.map { case (c, i) => s"CAST($c AS INTEGER) AS c$i" }
@@ -170,12 +172,14 @@ class UniversalSpec extends SparkSpec {
       assert(bits(other.clusterings(a).boundaries) == bits(uni.clusterings(a).boundaries), a)
       assert(bits(other.clusterings(a).centroids) == bits(uni.clusterings(a).centroids), a)
     }
-    assert(other.segCounts == uni.segCounts)
+    val (c, o) = (uni.combinations, other.combinations)
+    assert(c.clusters.map(_.toSeq).toSeq == o.clusters.map(_.toSeq).toSeq)
+    assert(c.counts.toSeq == o.counts.toSeq)
     val (d, e) = (uni.driverCopy, other.driverCopy)
     assert(d.keys.toSeq == e.keys.toSeq)
-    assert(bits(d.target) == bits(e.target))
-    assert(d.attrs.map(bits).toSeq == e.attrs.map(bits).toSeq)
-    assert(d.clusterIds.map(_.toSeq).toSeq == e.clusterIds.map(_.toSeq).toSeq)
+    assert(bits(d.y) == bits(e.y))
+    assert(d.cols.map(bits).toSeq == e.cols.map(bits).toSeq)
+    assert(c.ofRow.toSeq == o.ofRow.toSeq)
   }
 
   test("layout cluster bits match the clustering sizes") {

@@ -18,39 +18,39 @@ class FrameSpec extends SparkSpec {
   }
 
   test("collect extracts keys, labels and features in key order") {
-    val (keys, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
+    val f = Frame.collect(df, "id", "y", Seq("a", "b"))
     assert(f.nRows == 3 && f.nCols == 2)
-    assert(keys.toSeq == Seq(1L, 2L, 3L))
+    assert(f.keys.toSeq == Seq(1L, 2L, 3L))
     assert(f.y.toSeq == Seq(1.0, 0.0, 1.0))
     assert(f.cols(0).toSeq == Seq(2.0, 4.0, 6.0))
   }
 
   test("nulls become NaN") {
-    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
+    val f = Frame.collect(df, "id", "y", Seq("a", "b"))
     assert(f.cols(1)(1).isNaN)
   }
 
   test("columnMeans ignores NaN") {
-    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
+    val f = Frame.collect(df, "id", "y", Seq("a", "b"))
     val means = f.columnMeans(Array(0, 1, 2))
     assert(math.abs(means(0) - 4.0) < 1e-9)
     assert(math.abs(means(1) - 6.0) < 1e-9)
   }
 
   test("imputed replaces NaN with fill values") {
-    val (_, f) = Frame.collect(df, "id", "y", Seq("a", "b"))
+    val f = Frame.collect(df, "id", "y", Seq("a", "b"))
     val all = Array(0, 1, 2)
     val g = f.imputedRows(all, f.columnMeans(all))
     assert(!g.exists(_.exists(_.isNaN)))
   }
 
   test("columnMeans of all-NaN column is 0") {
-    val f = Frame(Vector("c"), Array(Array(Double.NaN, Double.NaN)), Array(1.0, 2.0))
+    val f = Frame(Array(0L, 1L), Vector("c"), Array(Array(Double.NaN, Double.NaN)), Array(1.0, 2.0))
     assert(f.columnMeans(Array(0, 1)).toSeq == Seq(0.0))
   }
 
   // rows 0..4: a = 1, NaN, 3, 10, NaN; b = NaN, NaN, 5, NaN, 7
-  private val five = Frame(Vector("a", "b"),
+  private val five = Frame(Array.range(0, 5).map(_.toLong), Vector("a", "b"),
     Array(Array(1.0, Double.NaN, 3.0, 10.0, Double.NaN), Array(Double.NaN, Double.NaN, 5.0, Double.NaN, 7.0)),
     Array(0.0, 1.0, 0.0, 1.0, 0.0))
 
@@ -66,7 +66,7 @@ class FrameSpec extends SparkSpec {
 
   test("columnMeans adds a column's values in row order") {
     // (1e16 + 1) + 1 rounds twice; 1 + 1 + 1e16 does not
-    val f = Frame(Vector("c"), Array(Array(1e16, 1.0, 1.0)), Array(0.0, 0.0, 0.0))
+    val f = Frame(Array(0L, 1L, 2L), Vector("c"), Array(Array(1e16, 1.0, 1.0)), Array(0.0, 0.0, 0.0))
     assert(f.columnMeans(Array(0, 1, 2)).head == ((1e16 + 1.0) + 1.0) / 3)
   }
 
@@ -82,11 +82,11 @@ class FrameSpec extends SparkSpec {
   }
 
   test("label column is excluded from features even if listed") {
-    val (_, f) = Frame.collect(df, "id", "y", Seq("id", "y", "a"))
+    val f = Frame.collect(df, "id", "y", Seq("id", "y", "a"))
     assert(f.names == Vector("a"))
   }
 
   test("row count mismatch is rejected") {
-    intercept[IllegalArgumentException](Frame(Vector("a"), Array(Array(1.0)), Array(1.0, 2.0)))
+    intercept[IllegalArgumentException](Frame(Array(0L, 1L), Vector("a"), Array(Array(1.0)), Array(1.0, 2.0)))
   }
 }
