@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
-import repro.lake.TabularLake
+import repro.lake.{LakeTable, TabularLake}
 import repro.ml.Frame
 import repro.util.KMeans1D
 
@@ -13,11 +13,13 @@ import repro.util.KMeans1D
   * filters.
   *
   * The search's states and the baselines' outputs are evaluated in place
-  * on [[driverCopy]], D_U collected into the driver once at build (key,
-  * target and every layout attribute, in `layout.attrs` order), as a
-  * [[project]]ion of its columns and a state's [[rowIndices]];
-  * [[materialize]] stays the Spark reference the oracle checks. `df` is
-  * not cached: each Spark job over it re-runs the join.
+  * on [[driverCopy]], D_U as the build joins it in the driver from one
+  * collect of each source (key, target and every layout attribute, in
+  * `layout.attrs` order), as a [[project]]ion of its columns and a
+  * state's [[rowIndices]]. The driver copy does not come from `df`: `df`
+  * is the same join as a lazy Spark plan, and it and [[materialize]] are
+  * the reference the oracle checks. `df` is not cached: each Spark job
+  * over it re-runs the join.
   */
 final case class UniversalTable(
     df: DataFrame,
@@ -111,24 +113,21 @@ object Universal {
 
   /** Build D_U for a tabular lake: left-outer join every aux table onto the
     * base over the key (preserving every labelled row — the supervised
-    * variant of the paper's outer-join universal table), collect it into the
-    * driver once in key order, and cluster each segment attribute's active
-    * domain there into at most [[MaxK]] literals. Key order makes the
-    * clusters a pure function of the lake, whatever Spark's partitioning.
+    * variant of the paper's outer-join universal table) in the driver
+    * ([[join]]), and cluster each segment attribute's active domain there
+    * into at most [[MaxK]] literals. Key order makes the clusters a pure
+    * function of the lake, whatever Spark's partitioning. `df` is the same
+    * join as a lazy Spark plan, the reference the oracle checks; the build
+    * runs no job over it.
     */
   def build(lake: TabularLake): UniversalTable = {
-    var df = lake.base.df
-    for (t <- lake.aux) df = df.join(t.df, Seq(lake.key), "left_outer")
-
-    val f = Frame.collect(df, lake.key, lake.target, lake.featureAttrs)
-    val (attrs, keys) = (f.names, f.keys)
-    // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
-    require((1 until keys.length).forall(i => keys(i - 1) < keys(i)), s"D_U has duplicate ${lake.key} values")
+    val f = join(lake)
+    val attrs = f.names
 
     val segAttrs = lake.segmentAttrs.toVector
     val clusterings = segAttrs.map { a =>
       val v = f.cols(attrs.indexOf(a))
-      // Frame.collect reads null as NaN; neither has a cluster
+      // the join reads null as NaN; neither has a cluster
       require(!v.exists(_.isNaN), s"segment attribute $a has nulls or NaN in D_U; no cluster covers them")
       a -> KMeans1D.fit(v, MaxK)
     }.toMap
@@ -139,6 +138,8 @@ object Universal {
     val counts = new Array[Long](held.length)
     ofRow.foreach(counts(_) += 1)
 
+    var df = lake.base.df
+    for (t <- lake.aux) df = df.join(t.df, Seq(lake.key), "left_outer")
     // hidden cluster-id columns via boundary CASE chains (pure Catalyst)
     for (a <- segAttrs) {
       val cl = clusterings(a)
@@ -151,5 +152,40 @@ object Universal {
     val layout = BitLayout(attrs, segAttrs.map(a => a -> clusterings(a).k))
     UniversalTable(df, lake.key, lake.target, layout, clusterings, f,
       Combinations(held.map(_.toArray), counts, ofRow))
+  }
+
+  /** D_U in the driver: each source collected once (a plain scan, no Spark
+    * join or shuffle), the base sorted by key, and each aux table's cells
+    * looked up by key, NaN where it has no row. It is the `Frame` that
+    * `Frame.collect` makes of the Spark left-outer join: the same keys,
+    * names (the base's attributes, then each aux table's, in lake order)
+    * and cells. A key twice in one source, or a non-key column in two
+    * sources, is an error naming the table and the column: a join would
+    * repeat the key's rows, or could not tell the columns apart.
+    */
+  private def join(lake: TabularLake): Frame = {
+    val key = lake.key
+    val owner = scala.collection.mutable.Map.empty[String, String]
+    for (t <- lake.allSources; c <- t.df.columns if c != key)
+      owner.put(c, t.name).foreach(o =>
+        throw new IllegalArgumentException(s"column $c is in both $o and ${t.name}; D_U takes each non-key column from one source"))
+    def duplicate(t: LakeTable, k: Long) =
+      new IllegalArgumentException(s"table ${t.name} has duplicate $key value $k; D_U needs one row per key")
+    def scan(t: LakeTable, cols: Seq[String]): Array[Row] = t.df.select((key +: cols).map(col): _*).collect()
+
+    val baseAttrs = lake.attrsOf(lake.base)
+    val rows = scan(lake.base, lake.target +: baseAttrs).sortBy(_.getLong(0))
+    val keys = rows.map(_.getLong(0))
+    // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
+    for (i <- 1 until keys.length if keys(i - 1) == keys(i)) throw duplicate(lake.base, keys(i))
+    val cols = Array.tabulate(baseAttrs.length)(j => rows.map(Frame.doubleAt(_, j + 2))) ++ lake.aux.flatMap { t =>
+      val attrs = lake.attrsOf(t)
+      val byKey = scala.collection.mutable.LongMap.empty[Row]
+      // a null key matches no base row, as in the join
+      for (r <- scan(t, attrs) if !r.isNullAt(0)) if (byKey.put(r.getLong(0), r).isDefined) throw duplicate(t, r.getLong(0))
+      val matched = keys.map(byKey.getOrNull)
+      attrs.indices.map(j => matched.map(r => if (r == null) Double.NaN else Frame.doubleAt(r, j + 1)))
+    }
+    Frame(keys, lake.featureAttrs.toVector, cols, rows.map(Frame.doubleAt(_, 1)))
   }
 }

@@ -5,11 +5,19 @@ import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.Oracle
 import repro.lake.{LakeTable, TabularLake}
+import repro.ml.Frame
 
 class UniversalSpec extends SparkSpec {
 
   private lazy val lake = Runner.lakeByName(spark, "movie", 0.01)
   private lazy val uni = Universal.build(lake)
+
+  /** A tiny source table: `id` and the given double columns. */
+  private def table(name: String, fields: Seq[String], rows: Seq[Row]): LakeTable = {
+    val schema = StructType(StructField("id", LongType, nullable = false) +:
+      fields.map(StructField(_, DoubleType, nullable = false)))
+    LakeTable(name, spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
+  }
 
   test("universal table preserves every labelled base row") {
     assert(uni.df.count() == lake.base.df.count())
@@ -135,11 +143,6 @@ class UniversalSpec extends SparkSpec {
   }
 
   test("a segment attribute with nulls in D_U is an error naming it") {
-    def table(name: String, fields: Seq[String], rows: Seq[Row]): LakeTable = {
-      val schema = StructType(StructField("id", LongType, nullable = false) +:
-        fields.map(StructField(_, DoubleType, nullable = false)))
-      LakeTable(name, spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
-    }
     val base = table("b", Seq("target", "f"), (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5)))
     // the aux table covers two keys in three, so the left join leaves nulls
     val aux = table("a", Seq("seg_aux"),
@@ -153,6 +156,47 @@ class UniversalSpec extends SparkSpec {
     val nanLake = lake.copy(aux = Seq(nan), segmentAttrs = Seq("seg_nan"))
     val e2 = intercept[IllegalArgumentException](Universal.build(nanLake))
     assert(e2.getMessage.contains("seg_nan"))
+  }
+
+  test("a key twice in the base or in an aux table is an error naming it") {
+    val rows = (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5))
+    val base = table("b", Seq("target", "f"), rows)
+    val aux = table("a", Seq("g"), (0L until 60L).map(i => Row(i, i * 2.0)))
+    val lake = TabularLake("dups", "id", "target", base, Seq(aux), Nil, Nil,
+      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    assert(Universal.build(lake).driverCopy.nRows == 60)
+    // the join would repeat key 7's rows; the driver must not keep one silently
+    val dupBase = lake.copy(base = table("b2", Seq("target", "f"), rows :+ Row(7L, 1.0, 9.0)))
+    val e = intercept[IllegalArgumentException](Universal.build(dupBase))
+    assert(e.getMessage.contains("table b2") && e.getMessage.contains("id value 7"), e.getMessage)
+    val dupAux = lake.copy(aux = Seq(table("a2", Seq("g"), (0L until 60L).map(i => Row(i, i * 2.0)) :+ Row(7L, 3.0))))
+    val e2 = intercept[IllegalArgumentException](Universal.build(dupAux))
+    assert(e2.getMessage.contains("table a2") && e2.getMessage.contains("id value 7"), e2.getMessage)
+  }
+
+  test("a non-key column in two sources is an error naming it and both tables") {
+    val base = table("t_base", Seq("target", "f"), (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5)))
+    // the aux table repeats the base's column f: the Spark join could not tell the two apart
+    val aux = table("t_aux", Seq("g", "f"), (0L until 60L).map(i => Row(i, i * 2.0, i * 3.0)))
+    val lake = TabularLake("shared", "id", "target", base, Seq(aux), Nil, Nil,
+      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    val e = intercept[IllegalArgumentException](Universal.build(lake))
+    assert(Seq("column f", "t_base", "t_aux").forall(e.getMessage.contains), e.getMessage)
+  }
+
+  test("driver join equals the Spark join bit for bit on every Table lake") {
+    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    for (name <- TabularTask.Specs.map(_.lake.name)) {
+      val l = Runner.lakeByName(spark, name, 0.01)
+      val u = Universal.build(l)
+      val (d, r) = (u.driverCopy, Frame.collect(u.df, u.key, u.target, u.layout.attrs))
+      assert(d.keys.toSeq == r.keys.toSeq, name)
+      assert(d.names == r.names, name)
+      assert(bits(d.y) == bits(r.y), name)
+      d.names.indices.foreach(j => assert(bits(d.cols(j)) == bits(r.cols(j)), s"$name ${d.names(j)}"))
+      // the aux tables cover only some keys, so the comparison includes NaN cells
+      assert(d.cols.exists(_.exists(_.isNaN)), name)
+    }
   }
 
   test("D_U does not depend on how the sources are partitioned or ordered") {
