@@ -53,16 +53,22 @@ final class RegressionTree(
 
   /** One tree's growth in `data`'s buffers: a node is a range `lo until hi`
     * of `rows`, partitioned stably in place at every split. The root's
-    * histogram is `data`'s buffer 0; a node at depth `d` counts its smaller
-    * child into buffer `d + 1` and leaves the larger child its own buffer,
-    * so a pending right child's buffer is never one its left sibling's
-    * subtree writes.
+    * histogram is `data`'s buffer 0, with `data`'s counts of all rows when
+    * the sample is every row in order; a node at depth `d` counts its
+    * smaller child into buffer `d + 1` and leaves the larger child its own
+    * buffer, so a pending right child's buffer is never one its left
+    * sibling's subtree writes.
     */
   private final class Grower(data: Binned, y: Array[Double], rng: Random, sample: Array[Int]) {
     private val nFeat = data.nFeatures
     private val rows = data.rows
     System.arraycopy(sample, 0, rows, 0, sample.length)
     private val everyFeature = Array.range(0, nFeat)
+    private val everyRowOnce = sample.length == data.nRows && {
+      var i = 0
+      while (i < sample.length && sample(i) == i) i += 1
+      i == sample.length
+    }
 
     /** Sum of y over `rows(lo until hi)`, in that order. */
     private def sumOf(lo: Int, hi: Int): Double = {
@@ -95,7 +101,10 @@ final class RegressionTree(
       while (i < hi) { val d = y(rows(i)) - meanHere; sse += d * d; i += 1 }
       if (sse <= 1e-12) return leaf(lo, hi, meanHere)
 
-      val hist = if (counted != null) counted else data.histogram(0, lo, hi, y)
+      val hist =
+        if (counted != null) counted
+        else if (everyRowOnce) data.allRowsHistogram(y)
+        else data.histogram(0, lo, hi, y)
       val cand =
         if (featuresPerSplit <= 0 || featuresPerSplit >= nFeat) everyFeature
         else rng.shuffle((0 until nFeat).toList).take(featuresPerSplit).toArray
@@ -193,14 +202,18 @@ object RegressionTree {
     private val spill = new Array[Int](nRows)
     private val histograms = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
 
+    private def buffer(k: Int): Array[Double] = {
+      while (histograms.length <= k) histograms += new Array[Double](2 * offset(nFeatures))
+      histograms(k)
+    }
+
     /** Histogram buffer `k`, filled with the sum of `y` and the count of the
       * rows `rows(lo until hi)` in each bin, added in row order. Bin `b` of
       * feature `f` holds its sum at `2 * (offset(f) + b)` and its count
       * right after.
       */
     private[ml] def histogram(k: Int, lo: Int, hi: Int, y: Array[Double]): Array[Double] = {
-      while (histograms.length <= k) histograms += new Array[Double](2 * offset(nFeatures))
-      val h = histograms(k)
+      val h = buffer(k)
       java.util.Arrays.fill(h, 0.0)
       var i = lo
       while (i < hi) {
@@ -214,6 +227,40 @@ object RegressionTree {
           h(at + 1) += 1.0
           f += 1
         }
+        i += 1
+      }
+      h
+    }
+
+    /** Each bin's count of every row once, in a histogram's layout with
+      * zero sums: the counts of the root of every tree grown on all rows, as
+      * every GBM tree is. Kept from the first such root's histogram, not
+      * counted by a pass of its own: a loop that runs once per fit stays
+      * uncompiled, and such a pass cost more than it saved.
+      */
+    private var allRowCounts: Array[Double] = null
+
+    /** [[histogram]] into buffer 0 of `rows(0 until nRows)` when they are
+      * every row once. After the first call, the counts are copied from
+      * [[allRowCounts]] and only the sums are added, in row order.
+      */
+    private[ml] def allRowsHistogram(y: Array[Double]): Array[Double] = {
+      if (allRowCounts == null) {
+        val first = histogram(0, 0, nRows, y)
+        allRowCounts = first.clone()
+        var b = 0
+        while (b < allRowCounts.length) { allRowCounts(b) = 0.0; b += 2 }
+        return first
+      }
+      val h = buffer(0)
+      System.arraycopy(allRowCounts, 0, h, 0, h.length)
+      var i = 0
+      while (i < nRows) {
+        val r = rows(i)
+        val yr = y(r)
+        val base = r * nFeatures
+        var f = 0
+        while (f < nFeatures) { h(2 * (offset(f) + (codes(base + f) & 0xff))) += yr; f += 1 }
         i += 1
       }
       h

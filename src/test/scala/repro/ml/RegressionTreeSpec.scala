@@ -321,6 +321,22 @@ class RegressionTreeSpec extends AnyFunSuite with Checkers {
     }
   }
 
+  test("trees grown in turn on one Binned equal trees grown on fresh bins") {
+    val rng = new Random(13)
+    val x = Array.fill(400)(Array(rng.nextGaussian(), rng.nextInt(5).toDouble, rng.nextGaussian()))
+    val shared = new RegressionTree.Binned(x)
+    // all rows (whose root counts the bins keep), a bootstrap, then all rows again
+    val samples = Seq(x.indices.toArray, Array.fill(400)(rng.nextInt(400)), x.indices.toArray, x.indices.toArray)
+    samples.zipWithIndex.foreach { case (rows, t) =>
+      val y = x.map(r => r(0) * (t + 1) - r(1) + 0.3 * rng.nextGaussian())
+      def grown(data: RegressionTree.Binned): Seq[Long] = {
+        val tree = new RegressionTree(4, 5).fit(data, y, new Random(t), rows)
+        x.toSeq.map(r => java.lang.Double.doubleToRawLongBits(tree.predict(r)))
+      }
+      assert(grown(shared) == grown(new RegressionTree.Binned(x)), s"tree $t")
+    }
+  }
+
   test("ensembles fitted on several threads at once equal a lone fit") {
     val rng = new Random(31)
     val x = Array.fill(2000)(Array.fill(10)(rng.nextGaussian()))
