@@ -1,0 +1,62 @@
+package repro.bench
+
+import java.nio.file.{Files, Paths}
+import repro.SparkSpec
+import repro.core.{Runner, TabularTask, Universal}
+
+/** Times a Table comparison's set-up, layer by layer, on each of the four
+  * Table lakes at SF 0.1: lake generation (`Runner.lakeByName`),
+  * `Universal.build`, and the evaluation of s_U on D_U's driver copy (the
+  * one evaluation that calibrates the task and gives the Original row).
+  * The lakes take turns: 3 warm-up rounds, then 10 timed ones. It prints
+  * and writes each layer's median and quartiles in ms to `BENCH_setup.json`
+  * in the working directory.
+  *
+  * Run: `sbt "bench/testOnly repro.bench.SetupBench"`.
+  */
+class SetupBench extends SparkSpec {
+
+  private val sf = 0.1
+  private val warmUp = 3
+  private val timed = 10
+  private val lakes = Vector("movie", "house", "avocado", "mental")
+  private val layers = Vector("gen_ms", "build_ms", "eval_ms")
+
+  private def quantile(v: Seq[Double], q: Double): Double = {
+    val s = v.sorted
+    val pos = q * (s.size - 1)
+    val lo = pos.toInt
+    val hi = math.min(lo + 1, s.size - 1)
+    s(lo) + (pos - lo) * (s(hi) - s(lo))
+  }
+
+  /** One set-up of a lake: each layer's time in ms, in `layers` order. */
+  private def setup(name: String): Vector[Double] = {
+    val t0 = System.nanoTime()
+    val lake = Runner.lakeByName(spark, name, sf)
+    val t1 = System.nanoTime()
+    val u = Universal.build(lake)
+    val t2 = System.nanoTime()
+    TabularTask.forLake(lake).evaluate(u.driverCopy).getOrElse(fail(s"$name: s_U is unusable"))
+    val t3 = System.nanoTime()
+    Vector(t1 - t0, t2 - t1, t3 - t2).map(_ / 1e6)
+  }
+
+  test("set-up time per layer on the four Table lakes at SF 0.1") {
+    (0 until warmUp).foreach(_ => lakes.foreach(setup))
+    val runs = (0 until timed).map(_ => lakes.map(setup))
+    val results = lakes.indices.map { l =>
+      lakes(l) -> layers.indices.map(j => Seq(0.25, 0.5, 0.75).map(quantile(runs.map(_(l)(j)), _)))
+    }
+    results.foreach { case (n, qs) =>
+      println(n + ": " + layers.zip(qs).map { case (layer, q) => f"$layer ${q(1)}%.1f [${q(0)}%.1f, ${q(2)}%.1f]" }.mkString(", "))
+    }
+    val body = results.map { case (n, qs) =>
+      layers.zip(qs).map { case (layer, q) =>
+        f""""$layer": {"median": ${q(1)}%.3f, "q1": ${q(0)}%.3f, "q3": ${q(2)}%.3f}"""
+      }.mkString(s"""  "$n": {""", ", ", "}")
+    }.mkString(s"""{\n  "sf": $sf, "warm_up": $warmUp, "timed": $timed,\n""", ",\n", "\n}\n")
+    Files.write(Paths.get("BENCH_setup.json"), body.getBytes("UTF-8"))
+    assert(results.forall(_._2.forall(_.forall(_ > 0))))
+  }
+}
