@@ -70,18 +70,27 @@ final class TabularTask(
     val n = rows.length
     if (data.nCols == 0 || n < MinRows) return None
     // positions in `rows`, split on the key hash
-    val isTest = rows.map(data.keys(_) % 5 == 0)
-    val trPos = (0 until n).filterNot(isTest(_)).toArray
-    val tePos = (0 until n).filter(isTest(_)).toArray
-    if (trPos.length < MinRows / 2 || tePos.length < 10) return None
-    val y = rows.map(data.y)
-    if (lake.classification && trPos.map(y).toSet.size < 2) return None
+    val nTest = Stats.countOf(n)(i => data.keys(rows(i)) % 5 == 0)
+    if (n - nTest < MinRows / 2 || nTest < 10) return None
+    val trPos = new Array[Int](n - nTest)
+    val trRows = new Array[Int](n - nTest)
+    val tePos = new Array[Int](nTest)
+    var nTr = 0
+    var i = 0
+    while (i < n) {
+      // i - nTr is the number of test positions before i
+      if (data.keys(rows(i)) % 5 == 0) tePos(i - nTr) = i
+      else { trPos(nTr) = i; trRows(nTr) = rows(i); nTr += 1 }
+      i += 1
+    }
+    val y = gather(data.y, rows)
+    val ytr = gather(y, trPos)
+    if (lake.classification && ytr.toSet.size < 2) return None
 
-    val x = data.imputedRows(rows, data.columnMeans(trPos.map(rows)))
-    val xtr = trPos.map(x)
-    val ytr = trPos.map(y)
-    val xte = tePos.map(x)
-    val yte = tePos.map(y)
+    val x = data.imputedRows(rows, data.columnMeans(trRows))
+    val xtr = gather(x, trPos)
+    val xte = gather(x, tePos)
+    val yte = gather(y, tePos)
 
     val t0 = System.nanoTime()
     val scoreFn: Array[Double] => Double = modelKind match {
@@ -96,7 +105,9 @@ final class TabularTask(
     }
     val trainSec = (System.nanoTime() - t0) / 1e9
 
-    val scores = xte.map(scoreFn)
+    val scores = new Array[Double](xte.length)
+    i = 0
+    while (i < xte.length) { scores(i) = scoreFn(xte(i)); i += 1 }
     val raw = collection.mutable.Map[String, Double]("train" -> trainSec)
     if (lake.classification) {
       val pred = scores.map(s => if (s >= 0.5) 1.0 else 0.0)
@@ -138,6 +149,23 @@ final class TabularTask(
 
 object TabularTask {
   val MinRows = 40
+
+  /** `xs(at(0)), xs(at(1)), ...`: the gathers of `evaluate`, in primitive
+    * loops (a `map` over an index array boxes every index and value).
+    */
+  private def gather(xs: Array[Double], at: Array[Int]): Array[Double] = {
+    val out = new Array[Double](at.length)
+    var i = 0
+    while (i < at.length) { out(i) = xs(at(i)); i += 1 }
+    out
+  }
+
+  private def gather(xs: Array[Array[Double]], at: Array[Int]): Array[Array[Double]] = {
+    val out = new Array[Array[Double]](at.length)
+    var i = 0
+    while (i < at.length) { out(i) = xs(at(i)); i += 1 }
+    out
+  }
 
   /** One tabular task of Section 6: its lake's generation parameters, model,
     * search measures (Table 3) and the measure each method's winner is picked by (Exp-1).

@@ -21,7 +21,12 @@ final case class State(bits: BitSet, width: Int) {
   def popCount: Int = bits.size
 
   /** Bitmap as a 0/1 vector — surrogate features and DivMODis' cosine term. */
-  def toVector: Array[Double] = Array.tabulate(width)(i => if (bits(i)) 1.0 else 0.0)
+  def toVector: Array[Double] = {
+    val v = new Array[Double](width)
+    var i = 0
+    while (i < width) { if (bits(i)) v(i) = 1.0; i += 1 }
+    v
+  }
 
   override def toString: String =
     (0 until width).map(i => if (bits(i)) '1' else '0').mkString("L[", "", "]")

@@ -35,9 +35,17 @@ final case class Frame(keys: Array[Long], names: Vector[String], cols: Array[Arr
   }
 
   /** The given rows as row vectors, each NaN cell replaced by its column's fill value. */
-  def imputedRows(rows: Array[Int], fill: Array[Double]): Array[Array[Double]] = rows.map { r =>
-    val out = new Array[Double](nCols)
-    for (j <- out.indices) { val v = cols(j)(r); out(j) = if (v.isNaN) fill(j) else v }
+  def imputedRows(rows: Array[Int], fill: Array[Double]): Array[Array[Double]] = {
+    val out = new Array[Array[Double]](rows.length)
+    var i = 0
+    while (i < rows.length) {
+      val r = rows(i)
+      val row = new Array[Double](nCols)
+      var j = 0
+      while (j < row.length) { val v = cols(j)(r); row(j) = if (v.isNaN) fill(j) else v; j += 1 }
+      out(i) = row
+      i += 1
+    }
     out
   }
 }

@@ -1,5 +1,7 @@
 package repro.ml
 
+import repro.util.Stats
+
 /** Linear substrates: ridge regression (closed form, used by the "LRavocado"
   * task model and H2O-style feature selection) and logistic regression via
   * gradient descent (classification variant). Inputs are standardized
@@ -15,14 +17,14 @@ final class RidgeRegression(val lambda: Double = 1e-3) {
     require(x.nonEmpty, "ridge: empty input")
     val n = x.length; val d = x(0).length
     std = new Standardizer(x)
-    val xs = x.map(std.apply)
     // Normal equations on standardized X with intercept handled via centering.
-    val ym = y.sum / n
+    val ym = Stats.sum(y) / n
     val a = Array.ofDim[Double](d, d)
     val g = new Array[Double](d)
+    val xi = new Array[Double](d) // row i, standardized
     var i = 0
     while (i < n) {
-      val xi = xs(i)
+      std.into(x(i), xi)
       val yc = y(i) - ym
       var p = 0
       while (p < d) {
@@ -46,10 +48,9 @@ final class RidgeRegression(val lambda: Double = 1e-3) {
   }
 
   def predict(xi: Array[Double]): Double = {
-    val xs = std(xi)
     var s = b
     var j = 0
-    while (j < w.length) { s += w(j) * xs(j); j += 1 }
+    while (j < w.length) { s += w(j) * std(xi, j); j += 1 }
     s
   }
 
@@ -150,6 +151,18 @@ private final class Standardizer(x: Array[Array[Double]]) {
   for (xi <- x; j <- mu.indices) { val dv = xi(j) - mu(j); sd(j) += dv * dv }
   for (j <- sd.indices) { sd(j) = math.sqrt(sd(j) / x.length); if (sd(j) < 1e-9) sd(j) = 1.0 }
 
-  def apply(xi: Array[Double]): Array[Double] =
-    Array.tabulate(xi.length)(j => (xi(j) - mu(j)) / sd(j))
+  /** Value `j` of `xi`, standardized. */
+  def apply(xi: Array[Double], j: Int): Double = (xi(j) - mu(j)) / sd(j)
+
+  def apply(xi: Array[Double]): Array[Double] = {
+    val out = new Array[Double](xi.length)
+    into(xi, out)
+    out
+  }
+
+  /** `xi` standardized into `out`. */
+  def into(xi: Array[Double], out: Array[Double]): Unit = {
+    var j = 0
+    while (j < out.length) { out(j) = apply(xi, j); j += 1 }
+  }
 }

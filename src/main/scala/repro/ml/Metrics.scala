@@ -13,18 +13,18 @@ object Metrics {
 
   def accuracy(yTrue: Array[Double], yPred: Array[Double]): Double = {
     require(yTrue.length == yPred.length && yTrue.nonEmpty, "accuracy: bad input")
-    yTrue.indices.count(i => yTrue(i) == yPred(i)).toDouble / yTrue.length
+    Stats.countOf(yTrue.length)(i => yTrue(i) == yPred(i)).toDouble / yTrue.length
   }
 
   def precision(yTrue: Array[Double], yPred: Array[Double]): Double = {
-    val tp = yTrue.indices.count(i => yPred(i) == 1.0 && yTrue(i) == 1.0)
-    val fp = yTrue.indices.count(i => yPred(i) == 1.0 && yTrue(i) == 0.0)
+    val tp = Stats.countOf(yTrue.length)(i => yPred(i) == 1.0 && yTrue(i) == 1.0)
+    val fp = Stats.countOf(yTrue.length)(i => yPred(i) == 1.0 && yTrue(i) == 0.0)
     if (tp + fp == 0) 0.0 else tp.toDouble / (tp + fp)
   }
 
   def recall(yTrue: Array[Double], yPred: Array[Double]): Double = {
-    val tp = yTrue.indices.count(i => yPred(i) == 1.0 && yTrue(i) == 1.0)
-    val fn = yTrue.indices.count(i => yPred(i) == 0.0 && yTrue(i) == 1.0)
+    val tp = Stats.countOf(yTrue.length)(i => yPred(i) == 1.0 && yTrue(i) == 1.0)
+    val fn = Stats.countOf(yTrue.length)(i => yPred(i) == 0.0 && yTrue(i) == 1.0)
     if (tp + fn == 0) 0.0 else tp.toDouble / (tp + fn)
   }
 
@@ -48,21 +48,21 @@ object Metrics {
 
   def mse(yTrue: Array[Double], yPred: Array[Double]): Double = {
     require(yTrue.length == yPred.length && yTrue.nonEmpty, "mse: bad input")
-    yTrue.indices.map(i => { val d = yTrue(i) - yPred(i); d * d }).sum / yTrue.length
+    Stats.sumOf(yTrue.length) { i => val d = yTrue(i) - yPred(i); d * d } / yTrue.length
   }
 
   def mae(yTrue: Array[Double], yPred: Array[Double]): Double = {
     require(yTrue.length == yPred.length && yTrue.nonEmpty, "mae: bad input")
-    yTrue.indices.map(i => math.abs(yTrue(i) - yPred(i))).sum / yTrue.length
+    Stats.sumOf(yTrue.length)(i => math.abs(yTrue(i) - yPred(i))) / yTrue.length
   }
 
   def rmse(yTrue: Array[Double], yPred: Array[Double]): Double = math.sqrt(mse(yTrue, yPred))
 
   def r2(yTrue: Array[Double], yPred: Array[Double]): Double = {
     val m = Stats.mean(yTrue)
-    val ssTot = yTrue.map(v => (v - m) * (v - m)).sum
+    val ssTot = Stats.sumOf(yTrue.length) { i => val v = yTrue(i); (v - m) * (v - m) }
     if (ssTot <= 1e-12) return 0.0
-    1.0 - yTrue.indices.map(i => { val d = yTrue(i) - yPred(i); d * d }).sum / ssTot
+    1.0 - Stats.sumOf(yTrue.length) { i => val d = yTrue(i) - yPred(i); d * d } / ssTot
   }
 
   private val RegressionTol = 0.5
@@ -73,7 +73,7 @@ object Metrics {
     */
   def regressionAccuracy(yTrue: Array[Double], yPred: Array[Double]): Double = {
     val sd = math.sqrt(Stats.variance(yTrue)).max(1e-9)
-    yTrue.indices.count(i => math.abs(yTrue(i) - yPred(i)) <= RegressionTol * sd).toDouble / yTrue.length
+    Stats.countOf(yTrue.length)(i => math.abs(yTrue(i) - yPred(i)) <= RegressionTol * sd).toDouble / yTrue.length
   }
 
   // ---- ranking (T5) ----------------------------------------------------

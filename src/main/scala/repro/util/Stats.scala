@@ -7,15 +7,38 @@ package repro.util
   */
 object Stats {
 
+  /** `f(0) + f(1) + ... + f(n - 1)`, added left to right from `f(0)` (0.0
+    * when `n` is 0): the additions `.sum` makes of a non-empty sequence,
+    * without boxing a value.
+    */
+  def sumOf(n: Int)(f: Int => Double): Double = {
+    if (n == 0) return 0.0
+    var s = f(0)
+    var i = 1
+    while (i < n) { s += f(i); i += 1 }
+    s
+  }
+
+  /** How many of `0 until n` satisfy `p`, without boxing an index. */
+  def countOf(n: Int)(p: Int => Boolean): Int = {
+    var c = 0
+    var i = 0
+    while (i < n) { if (p(i)) c += 1; i += 1 }
+    c
+  }
+
+  /** Sum of `xs` in order, as `xs.sum` adds it. */
+  def sum(xs: Array[Double]): Double = sumOf(xs.length)(xs(_))
+
   /** Arithmetic mean; 0.0 for an empty input. */
   def mean(xs: Array[Double]): Double =
-    if (xs.isEmpty) 0.0 else xs.sum / xs.length
+    if (xs.isEmpty) 0.0 else sum(xs) / xs.length
 
   /** Population variance; 0.0 for fewer than two elements. */
   def variance(xs: Array[Double]): Double = {
     if (xs.length < 2) return 0.0
     val m = mean(xs)
-    xs.map(x => (x - m) * (x - m)).sum / xs.length
+    sumOf(xs.length) { i => val d = xs(i) - m; d * d } / xs.length
   }
 
   /** Pearson correlation coefficient; 0.0 when either side is constant. */
