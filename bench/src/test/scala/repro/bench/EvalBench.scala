@@ -28,14 +28,6 @@ class EvalBench extends SparkSpec {
 
   private def median(v: Seq[Double]): Double = quantile(v, 0.5)
 
-  private def quantile(v: Seq[Double], q: Double): Double = {
-    val s = v.sorted
-    val pos = q * (s.size - 1)
-    val lo = pos.toInt
-    val hi = math.min(lo + 1, s.size - 1)
-    s(lo) + (pos - lo) * (s(hi) - s(lo))
-  }
-
   private def measure(name: String): Vector[Timing] = {
     val lake = Runner.lakeByName(spark, name, sf)
     val uni = Universal.build(lake)

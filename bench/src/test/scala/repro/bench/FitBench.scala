@@ -27,14 +27,6 @@ class FitBench extends SparkSpec {
   private val warmUp = 10
   private val timed = 40
 
-  private def quantile(v: Seq[Double], q: Double): Double = {
-    val s = v.sorted
-    val pos = q * (s.size - 1)
-    val lo = pos.toInt
-    val hi = math.min(lo + 1, s.size - 1)
-    s(lo) + (pos - lo) * (s(hi) - s(lo))
-  }
-
   /** s_U's train split of a Table lake, mean-imputed, as `TabularTask.evaluate` fits it. */
   private def trainSplit(name: String): (Array[Array[Double]], Array[Double]) = {
     val uni = Universal.build(Runner.lakeByName(spark, name, sf))

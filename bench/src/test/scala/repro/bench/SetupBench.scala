@@ -22,14 +22,6 @@ class SetupBench extends SparkSpec {
   private val lakes = Vector("movie", "house", "avocado", "mental")
   private val layers = Vector("gen_ms", "build_ms", "eval_ms")
 
-  private def quantile(v: Seq[Double], q: Double): Double = {
-    val s = v.sorted
-    val pos = q * (s.size - 1)
-    val lo = pos.toInt
-    val hi = math.min(lo + 1, s.size - 1)
-    s(lo) + (pos - lo) * (s(hi) - s(lo))
-  }
-
   /** One set-up of a lake: each layer's time in ms, in `layers` order. */
   private def setup(name: String): Vector[Double] = {
     val t0 = System.nanoTime()

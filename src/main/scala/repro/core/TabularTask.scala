@@ -110,6 +110,7 @@ final class TabularTask(
     while (i < xte.length) { scores(i) = scoreFn(xte(i)); i += 1 }
     val raw = collection.mutable.Map[String, Double]("train" -> trainSec)
     if (lake.classification) {
+      // the one place a classifier's score becomes a label
       val pred = scores.map(s => if (s >= 0.5) 1.0 else 0.0)
       raw += "acc" -> Metrics.accuracy(yte, pred)
       raw += "prec" -> Metrics.precision(yte, pred)
@@ -130,8 +131,8 @@ final class TabularTask(
       raw += "mi" -> Metrics.mutualInformation(x, yBin)
     }
 
-    val norm = measureNames.map(m => normalize(m, raw.toMap)).toArray
-    Some(EvalResult(raw.toMap, norm, rows = n, cols = data.nCols))
+    val rawMap = raw.toMap
+    Some(EvalResult(rawMap, measureNames.map(normalize(_, rawMap)).toArray, rows = n, cols = data.nCols))
   }
 
   /** Normalized, minimized value of one measure given the raw metric map. */

@@ -18,7 +18,6 @@ final case class State(bits: BitSet, width: Int) {
   def apply(i: Int): Boolean = bits(i)
   def clear(i: Int): State = copy(bits = bits - i)
   def set(i: Int): State = copy(bits = bits + i)
-  def popCount: Int = bits.size
 
   /** Bitmap as a 0/1 vector — surrogate features and DivMODis' cosine term. */
   def toVector: Array[Double] = {

@@ -8,9 +8,10 @@ import repro.util.KMeans1D
 
 /** The universal table D_U (Section 5.1 "Reduce-from-Universal"): the
   * multi-way join of all sources over the shared key, with per-segment-
-  * attribute active-domain clustering (1-D k-means, Section 6) materialized
-  * as hidden `__cl_<attr>` columns so reduct literals become cheap cluster
-  * filters.
+  * attribute active-domain clustering (1-D k-means, Section 6). A reduct
+  * literal masks one cluster: in the driver, [[combinations]] count and
+  * select the rows it keeps; on the reference plan `df`, the clusters are
+  * the hidden `__cl_<attr>` columns [[materialize]] filters on.
   *
   * The search's states and the baselines' outputs are evaluated in place
   * on [[driverCopy]], D_U as the build joins it in the driver from one
@@ -42,7 +43,7 @@ final case class UniversalTable(
   }
 
   /** Row predicate of a state over D_U (cluster membership per segment). */
-  def rowPredicate(s: State): Column =
+  private def rowPredicate(s: State): Column =
     layout.segments.foldLeft(lit(true)) { case (acc, (seg, k)) =>
       val allowed = layout.clustersOf(s, seg)
       if (allowed.size == k) acc
@@ -74,7 +75,7 @@ final case class UniversalTable(
   }
 
   /** Indices into [[driverCopy]] of a state's rows, in key order: the
-    * driver-side twin of [[rowPredicate]].
+    * driver-side twin of [[materialize]]'s row filter.
     */
   def rowIndices(s: State): Array[Int] = {
     val k = kept(s)
@@ -155,13 +156,14 @@ object Universal {
   }
 
   /** D_U in the driver: each source collected once (a plain scan, no Spark
-    * join or shuffle), the base sorted by key, and each aux table's cells
-    * looked up by key, NaN where it has no row. It is the `Frame` that
-    * `Frame.collect` makes of the Spark left-outer join: the same keys,
-    * names (the base's attributes, then each aux table's, in lake order)
-    * and cells. A key twice in one source, or a non-key column in two
-    * sources, is an error naming the table and the column: a join would
-    * repeat the key's rows, or could not tell the columns apart.
+    * join or shuffle), the base through [[Frame.collect]] in key order,
+    * and each aux table's cells looked up by key, NaN where it has no row.
+    * It is the `Frame` that `Frame.collect` makes of the Spark left-outer
+    * join: the same keys, names (the base's attributes, then each aux
+    * table's, in lake order) and cells. A key twice in one source, or a
+    * non-key column in two sources, is an error naming the table and the
+    * column: a join would repeat the key's rows, or could not tell the
+    * columns apart.
     */
   private def join(lake: TabularLake): Frame = {
     val key = lake.key
@@ -171,21 +173,20 @@ object Universal {
         throw new IllegalArgumentException(s"column $c is in both $o and ${t.name}; D_U takes each non-key column from one source"))
     def duplicate(t: LakeTable, k: Long) =
       new IllegalArgumentException(s"table ${t.name} has duplicate $key value $k; D_U needs one row per key")
-    def scan(t: LakeTable, cols: Seq[String]): Array[Row] = t.df.select((key +: cols).map(col): _*).collect()
 
-    val baseAttrs = lake.attrsOf(lake.base)
-    val rows = scan(lake.base, lake.target +: baseAttrs).sortBy(_.getLong(0))
-    val keys = rows.map(_.getLong(0))
+    val base = Frame.collect(lake.base.df, key, lake.target, lake.attrsOf(lake.base))
+    val keys = base.keys
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     for (i <- 1 until keys.length if keys(i - 1) == keys(i)) throw duplicate(lake.base, keys(i))
-    val cols = Array.tabulate(baseAttrs.length)(j => rows.map(Frame.doubleAt(_, j + 2))) ++ lake.aux.flatMap { t =>
+    val cols = base.cols ++ lake.aux.flatMap { t =>
       val attrs = lake.attrsOf(t)
       val byKey = scala.collection.mutable.LongMap.empty[Row]
       // a null key matches no base row, as in the join
-      for (r <- scan(t, attrs) if !r.isNullAt(0)) if (byKey.put(r.getLong(0), r).isDefined) throw duplicate(t, r.getLong(0))
+      for (r <- t.df.select((key +: attrs).map(col): _*).collect() if !r.isNullAt(0))
+        if (byKey.put(r.getLong(0), r).isDefined) throw duplicate(t, r.getLong(0))
       val matched = keys.map(byKey.getOrNull)
       attrs.indices.map(j => matched.map(r => if (r == null) Double.NaN else Frame.doubleAt(r, j + 1)))
     }
-    Frame(keys, lake.featureAttrs.toVector, cols, rows.map(Frame.doubleAt(_, 1)))
+    Frame(keys, lake.featureAttrs.toVector, cols, base.y)
   }
 }

@@ -41,8 +41,7 @@ final class GraphSpace(val lake: GraphLake, val epochs: Int = 20) extends StateS
       val groups = layout.attrsOf(s)
       val (uf, itf) = lake.featuresOf(groups)
       val t0 = System.nanoTime()
-      val model = new LightGCN(lake.nUsers, lake.nItems, epochs = epochs)
-        .fit(edges, if (groups.isEmpty) null else uf, if (groups.isEmpty) null else itf)
+      val model = new LightGCN(lake.nUsers, lake.nItems, epochs = epochs).fit(edges, uf, itf)
       val trainSec = (System.nanoTime() - t0) / 1e9
       val recs = model.recommend(10)
       val truth = lake.testEdges

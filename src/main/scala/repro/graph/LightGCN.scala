@@ -14,7 +14,7 @@ import scala.util.Random
 final class LightGCN(
     val nUsers: Int,
     val nItems: Int,
-    val epochs: Int = 30,
+    val epochs: Int,
     val seed: Long = 23,
 ) {
   import LightGCN._

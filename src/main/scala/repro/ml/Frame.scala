@@ -65,18 +65,14 @@ object Frame {
       Array.tabulate(cols.length)(j => rows.map(doubleAt(_, j + 2))), rows.map(doubleAt(_, 1)))
   }
 
-  /** Cell `i` of a collected row as a Double, null as NaN. */
+  /** Cell `i` of a collected row as a Double, null as NaN. Lake tables
+    * and D_U (but for its `__cl_*` columns) hold only Long and Double
+    * cells; any other cell is an error naming it, never a silent NaN.
+    */
   private[repro] def doubleAt(r: Row, i: Int): Double = r.get(i) match {
-    case null                 => Double.NaN
-    case d: Double            => d
-    case f: Float             => f.toDouble
-    case l: Long              => l.toDouble
-    case i: Int               => i.toDouble
-    case s: Short             => s.toDouble
-    case b: Byte              => b.toDouble
-    case b: Boolean           => if (b) 1.0 else 0.0
-    case bd: java.math.BigDecimal => bd.doubleValue
-    case s: String            => try s.toDouble catch { case _: NumberFormatException => Double.NaN }
-    case other                => throw new IllegalArgumentException(s"non-numeric cell: $other")
+    case null      => Double.NaN
+    case d: Double => d
+    case l: Long   => l.toDouble
+    case other     => throw new IllegalArgumentException(s"non-numeric cell: $other")
   }
 }

@@ -90,6 +90,4 @@ final class GBMClassifier(
 
   /** P(y = 1 | x). */
   def predictProba(xi: Array[Double]): Double = link(score(xi))
-
-  def predict(xi: Array[Double]): Double = if (predictProba(xi) >= 0.5) 1.0 else 0.0
 }

@@ -136,7 +136,6 @@ final class LogisticRegressionModel {
     sigmoid(z)
   }
 
-  def predict(xi: Array[Double]): Double = if (predictProba(xi) >= 0.5) 1.0 else 0.0
   def coefficients: Array[Double] = w.clone()
 }
 

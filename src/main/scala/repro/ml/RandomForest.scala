@@ -31,6 +31,4 @@ final class RandomForest(
   /** P(y = 1 | x): the mean tree output. */
   def predictScore(xi: Array[Double]): Double =
     trees.foldLeft(0.0)((s, t) => s + t.predict(xi)) / trees.length
-
-  def predict(xi: Array[Double]): Double = if (predictScore(xi) >= 0.5) 1.0 else 0.0
 }

@@ -63,7 +63,7 @@ class EngineSpec extends AnyFunSuite {
 
   test("ApxMODis explores only reduct transitions (monotone popcount)") {
     val (r, v, space) = freshRun(ApxMODis.run)
-    assert(v.records.forall(_._1.popCount <= space.full.popCount))
+    assert(v.records.forall(_._1.bits.size <= space.full.bits.size))
     assert(r.explored > 0)
   }
 

@@ -30,14 +30,14 @@ class TabularSpaceSpec extends SparkSpec {
   test("neighborsReduct flips exactly one bit down") {
     val kids = space.neighborsReduct(space.full)
     assert(kids.nonEmpty)
-    kids.foreach(k => assert(k.popCount == space.full.popCount - 1))
+    kids.foreach(k => assert(k.bits.size == space.full.bits.size - 1))
   }
 
   test("neighborsAugment flips exactly one bit up") {
     val sb = space.backStart
     val kids = space.neighborsAugment(sb)
     assert(kids.nonEmpty)
-    kids.foreach(k => assert(k.popCount == sb.popCount + 1))
+    kids.foreach(k => assert(k.bits.size == sb.bits.size + 1))
   }
 
   test("neighborsReduct of full covers all admissible single flips") {

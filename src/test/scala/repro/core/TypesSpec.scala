@@ -43,7 +43,7 @@ class TypesSpec extends AnyFunSuite {
   test("clear drops exactly one bit") {
     val s = State.full(layout.width).clear(layout.attrIdx("b"))
     assert(layout.attrsOf(s) == Vector("a", "c"))
-    assert(s.popCount == layout.width - 1)
+    assert(s.bits.size == layout.width - 1)
   }
 
   test("set restores a bit") {

@@ -30,6 +30,14 @@ class FrameSpec extends SparkSpec {
     assert(f.cols(1)(1).isNaN)
   }
 
+  test("a cell that is not a number is an error naming it, not NaN") {
+    val schema = StructType(Array(
+      StructField("id", LongType), StructField("y", DoubleType), StructField("s", StringType)))
+    val bad = spark.createDataFrame(spark.sparkContext.parallelize(Seq(Row(1L, 1.0, "abc"))), schema)
+    val e = intercept[IllegalArgumentException](Frame.collect(bad, "id", "y", Seq("s")))
+    assert(e.getMessage.contains("abc"))
+  }
+
   test("columnMeans ignores NaN") {
     val f = Frame.collect(df, "id", "y", Seq("a", "b"))
     val means = f.columnMeans(Array(0, 1, 2))

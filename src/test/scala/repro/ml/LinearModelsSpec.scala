@@ -52,7 +52,7 @@ class LinearModelsSpec extends AnyFunSuite {
     val x = Array.fill(400)(Array(rng.nextGaussian(), rng.nextGaussian()))
     val y = x.map(xi => if (xi(0) + 2 * xi(1) > 0) 1.0 else 0.0)
     val m = new LogisticRegressionModel().fit(x, y)
-    assert(Metrics.accuracy(y, x.map(m.predict)) > 0.93)
+    assert(Metrics.accuracy(y, x.map(xi => if (m.predictProba(xi) >= 0.5) 1.0 else 0.0)) > 0.93)
   }
 
   test("logreg probabilities are in [0,1]") {

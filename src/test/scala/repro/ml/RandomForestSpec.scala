@@ -15,7 +15,7 @@ class RandomForestSpec extends AnyFunSuite {
   test("classifies a linear boundary") {
     val (x, y) = classData(500, 1)
     val m = new RandomForest(nTrees = 20).fit(x, y)
-    assert(Metrics.accuracy(y, x.map(m.predict)) > 0.9)
+    assert(Metrics.accuracy(y, x.map(xi => if (m.predictScore(xi) >= 0.5) 1.0 else 0.0)) > 0.9)
   }
 
   test("probability scores are in [0,1]") {
