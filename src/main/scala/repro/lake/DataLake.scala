@@ -120,8 +120,8 @@ object DataLake {
     val aux3Nz = nzNames.zipWithIndex.collect { case (c, i) if i % 3 == 2 => c }
 
     def col(name: String): Int => Double = name match {
-      case s if s.startsWith("inf_") => i => inf(i)(s.stripPrefix("inf_").toInt - 1)
-      case s if s.startsWith("nz_")  => i => nz(i)(s.stripPrefix("nz_").toInt - 1)
+      case s if s.startsWith("inf_") => val j = s.stripPrefix("inf_").toInt - 1; i => inf(i)(j)
+      case s if s.startsWith("nz_")  => val j = s.stripPrefix("nz_").toInt - 1; i => nz(i)(j)
       case "seg_quality"             => i => segQ(i)
       case "seg_region"              => i => segR(i)
     }
@@ -129,15 +129,12 @@ object DataLake {
     def mkTable(name: String, cols: Seq[String], coverage: Double,
                 withTarget: Boolean, covSeed: Long): LakeTable = {
       val covRng = new Random(p.seed ^ covSeed)
-      val ids = (0 until n).filter(_ => covRng.nextDouble() < coverage)
+      val ids = (0 until n).filter(_ => covRng.nextDouble() < coverage).toArray
       val fields = StructField(key, LongType, nullable = false) +:
         (if (withTarget) Seq(StructField(target, DoubleType, nullable = false)) else Nil) ++:
         cols.map(c => StructField(c, DoubleType, nullable = false))
-      val rows = ids.map { i =>
-        Row.fromSeq(i.toLong +: (if (withTarget) Seq(y(i)) else Nil) ++: cols.map(c => col(c)(i)))
-      }
-      LakeTable(name, spark.createDataFrame(
-        spark.sparkContext.parallelize(rows.toSeq, 4), StructType(fields.toArray)))
+      val values = (if (withTarget) Seq((i: Int) => y(i)) else Nil) ++: cols.map(col)
+      table(spark, name, fields, ids, values.map(f => ids.map(f)).toArray, slices = 4)
     }
 
     val base = mkTable(s"${p.name}_base", segNames ++ baseInf, coverage = 1.0,
@@ -154,11 +151,13 @@ object DataLake {
       val fields = StructField("code", LongType, nullable = false) +:
         cols.map(c => StructField(c, DoubleType, nullable = false))
       val drng = new Random(p.seed + 1000 + d)
-      val rows = (0 until dn).map { i =>
-        Row.fromSeq(drng.nextInt(100000).toLong +: cols.map(_ => drng.nextDouble() * 1000))
+      val codes = new Array[Int](dn)
+      val values = Array.ofDim[Double](cols.size, dn)
+      for (i <- 0 until dn) {
+        codes(i) = drng.nextInt(100000)
+        cols.indices.foreach(c => values(c)(i) = drng.nextDouble() * 1000)
       }
-      LakeTable(s"${p.name}_distractor$d", spark.createDataFrame(
-        spark.sparkContext.parallelize(rows, 2), StructType(fields.toArray)))
+      table(spark, s"${p.name}_distractor$d", fields, codes, values, slices = 2)
     }
 
     TabularLake(
@@ -169,6 +168,24 @@ object DataLake {
       informativeAttrs = infNames.toSet,
       noiseAttrs = nzNames.toSet,
     )
+  }
+
+  /** A table whose cells the driver holds once, unboxed: the key column as
+    * `Int`s and each further column as `Double`s, cut into the slices that
+    * `parallelize(rows, slices)` makes. Each slice's rows (the key as a
+    * `Long`) are made, in order, in the task that reads it.
+    */
+  private def table(spark: SparkSession, name: String, fields: Seq[StructField],
+                    keys: Array[Int], cols: Array[Array[Double]], slices: Int): LakeTable = {
+    val n = keys.length
+    val parts = (0 until slices).map { s =>
+      val (from, until) = (s * n / slices, (s + 1) * n / slices)
+      (keys.slice(from, until), cols.map(_.slice(from, until)))
+    }
+    val rows = spark.sparkContext.parallelize(parts, slices).flatMap { case (ks, cs) =>
+      Iterator.tabulate(ks.length)(i => Row.fromSeq(ks(i).toLong +: cs.map(_(i)).toSeq))
+    }
+    LakeTable(name, spark.createDataFrame(rows, StructType(fields.toArray)))
   }
 
   /** Corpus-level stats for Table 2: (#tables, #columns, #rows) over a set
