@@ -43,7 +43,7 @@ final case class UniversalTable(
   }
 
   /** Row predicate of a state over D_U (cluster membership per segment). */
-  private def rowPredicate(s: State): Column =
+  private[repro] def rowPredicate(s: State): Column =
     layout.segments.foldLeft(lit(true)) { case (acc, (seg, k)) =>
       val allowed = layout.clustersOf(s, seg)
       if (allowed.size == k) acc
@@ -163,7 +163,9 @@ object Universal {
     * table's, in lake order) and cells. A key twice in one source, or a
     * non-key column in two sources, is an error naming the table and the
     * column: a join would repeat the key's rows, or could not tell the
-    * columns apart.
+    * columns apart. So is a base row with a null key, which has no place
+    * in key order, or with a null or NaN label, which would make every
+    * regression metric NaN.
     */
   private def join(lake: TabularLake): Frame = {
     val key = lake.key
@@ -174,10 +176,14 @@ object Universal {
     def duplicate(t: LakeTable, k: Long) =
       new IllegalArgumentException(s"table ${t.name} has duplicate $key value $k; D_U needs one row per key")
 
-    val base = Frame.collect(lake.base.df, key, lake.target, lake.attrsOf(lake.base))
+    val base =
+      try Frame.collect(lake.base.df, key, lake.target, lake.attrsOf(lake.base))
+      catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"table ${lake.base.name}: ${e.getMessage}", e) }
     val keys = base.keys
     // unique keys make key order total, so it is the order TabularTask.evaluate(df) sorts to
     for (i <- 1 until keys.length if keys(i - 1) == keys(i)) throw duplicate(lake.base, keys(i))
+    for (i <- keys.indices if base.y(i).isNaN) throw new IllegalArgumentException(
+      s"table ${lake.base.name} has a null or NaN ${lake.target} at $key value ${keys(i)}; D_U needs a label in every row")
     val cols = base.cols ++ lake.aux.flatMap { t =>
       val attrs = lake.attrsOf(t)
       val byKey = scala.collection.mutable.LongMap.empty[Row]

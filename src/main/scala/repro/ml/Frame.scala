@@ -56,11 +56,14 @@ object Frame {
     * `key`, `label` and the listed features (null → NaN; `key` and `label`
     * are never features). This is the one path from a table to a feature
     * matrix. Key order makes every fit on the result independent of Spark's
-    * partitioning.
+    * partitioning; a null key has no place in it, so it is an error naming
+    * the key column.
     */
   def collect(df: DataFrame, key: String, label: String, features: Seq[String]): Frame = {
     val cols = features.filterNot(c => c == key || c == label).toVector
-    val rows = df.select((key +: label +: cols).map(col): _*).collect().sortBy(_.getLong(0))
+    val collected = df.select((key +: label +: cols).map(col): _*).collect()
+    if (collected.exists(_.isNullAt(0))) throw new IllegalArgumentException(s"a row has a null $key; a Frame needs every row's key")
+    val rows = collected.sortBy(_.getLong(0))
     Frame(rows.map(_.getLong(0)), cols,
       Array.tabulate(cols.length)(j => rows.map(doubleAt(_, j + 2))), rows.map(doubleAt(_, 1)))
   }

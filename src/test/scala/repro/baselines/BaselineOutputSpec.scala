@@ -1,10 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
-import repro.core.{EvalResult, Runner, State, TabularTask, Universal, UniversalTable}
-import repro.lake.TabularLake
-import repro.ml.Frame
+import repro.{SparkSpec, TableLakes}
+import repro.core.{Runner, State}
 
 /** Each baseline outputs a projection of D_U over all of its rows: METAM,
   * METAM-MO and Starmie join key-sharing aux tables onto the base, which D_U
@@ -16,13 +14,10 @@ import repro.ml.Frame
   */
 class BaselineOutputSpec extends SparkSpec {
 
-  private final class Fixture(val name: String) {
-    val lake: TabularLake = Runner.lakeByName(spark, name, 0.01)
-    val uni: UniversalTable = Universal.build(lake)
-    private val full = State.full(uni.layout.width)
+  private final class Fixture(name: String) {
+    val shared: TableLakes.Fixture = TableLakes(name)
+    import shared.{lake, task, uni}
     private val sU = uni.project(uni.layout.attrs)
-    private val task0 = TabularTask.forLake(lake)
-    val task: TabularTask = task0.calibrated(task0.evaluate(sU).get)
 
     lazy val lists: Map[String, Vector[String]] = Map(
       "METAM" -> Metam.run(uni, task, Runner.primaryMeasure(name)),
@@ -31,16 +26,13 @@ class BaselineOutputSpec extends SparkSpec {
       "SkSFM" -> FeatureSelect.skSFM(sU, task),
       "H2O" -> FeatureSelect.h2o(sU, task))
 
-    /** The listed attributes over every row of D_U's driver copy. */
-    def cut(attrs: Vector[String]): Frame = uni.project(attrs)
-
     /** The baseline's output as Spark builds it: the base left-joined with
       * the aux tables the list draws on, in the list's order (METAM,
       * Starmie), or D_U's columns (SkSFM, H2O).
       */
     def sparkTable(method: String, attrs: Vector[String]): DataFrame = method match {
       case "SkSFM" | "H2O" =>
-        uni.materialize(full).select((lake.key +: lake.target +: attrs).map(uni.df.col): _*)
+        uni.materialize(State.full(uni.layout.width)).select((lake.key +: lake.target +: attrs).map(uni.df.col): _*)
       case _ =>
         val joined = lake.aux.filter(t => t.df.columns.exists(attrs.contains))
           .sortBy(t => attrs.indexWhere(t.df.columns.contains))
@@ -74,19 +66,6 @@ class BaselineOutputSpec extends SparkSpec {
       "SkSFM" -> Vector("seg_quality", "inf_1", "inf_2", "inf_3"),
       "Starmie" -> Vector("seg_quality", "seg_region", "inf_1", "inf_2", "nz_3", "nz_6", "nz_9", "inf_3", "inf_5", "inf_7", "nz_1", "nz_4", "nz_7", "inf_4", "inf_6", "inf_8", "nz_2", "nz_5", "nz_8")))
 
-  private def bits(m: Map[String, Double]): Map[String, Long] =
-    m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) }
-
-  /** Equal apart from the wall-clock `train` time and its normalized value. */
-  private def assertSame(task: TabularTask, what: String, a: EvalResult, b: EvalResult): Unit = {
-    assert(bits(a.raw - "train") == bits(b.raw - "train"), s"$what: raw metrics differ: ${a.raw} vs ${b.raw}")
-    val train = task.measureNames.indexOf("train")
-    val normA = a.norm.indices.filter(_ != train).map(i => java.lang.Double.doubleToLongBits(a.norm(i)))
-    val normB = b.norm.indices.filter(_ != train).map(i => java.lang.Double.doubleToLongBits(b.norm(i)))
-    assert(normA == normB, s"$what: norm differs")
-    assert((a.rows, a.cols) == (b.rows, b.cols), s"$what: size differs")
-  }
-
   lakes.foreach { name =>
     test(s"$name: the baselines' attribute lists reproduce their golden") {
       val f = fixtures(name)
@@ -96,9 +75,10 @@ class BaselineOutputSpec extends SparkSpec {
     test(s"$name: each baseline's driver cut evaluates as its Spark table") {
       val f = fixtures(name)
       f.lists.foreach { case (method, attrs) =>
-        val driver = f.task.evaluate(f.cut(attrs)).getOrElse(fail(s"$method: driver cut unusable"))
-        val ref = f.task.evaluate(f.sparkTable(method, attrs)).getOrElse(fail(s"$method: Spark table unusable"))
-        assertSame(f.task, s"$name $method", driver, ref)
+        val task = f.shared.task
+        val driver = task.evaluate(f.shared.uni.project(attrs)).getOrElse(fail(s"$method: driver cut unusable"))
+        val ref = task.evaluate(f.sparkTable(method, attrs)).getOrElse(fail(s"$method: Spark table unusable"))
+        TableLakes.assertSameEval(task, s"$name $method", driver, ref)
       }
     }
   }

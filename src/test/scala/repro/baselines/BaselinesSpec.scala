@@ -1,66 +1,49 @@
 package repro.baselines
 
 import org.apache.spark.sql.functions.udf
-import repro.SparkSpec
-import repro.core.{EvalResult, Runner, TabularTask, Universal, UniversalTable}
+import repro.{SparkSpec, TableLakes}
 import repro.lake.LakeTable
 import repro.ml.Frame
 import repro.util.Stats
 
-/** Evaluation of a baseline's output: its attributes of D_U's driver copy
-  * over all rows, as Runner reports it.
-  */
-private object Cut {
-  def rows(uni: UniversalTable, attrs: Seq[String]): Array[Double] = uni.project(attrs).y
-
-  def evaluate(uni: UniversalTable, task: TabularTask, attrs: Seq[String]): Option[EvalResult] =
-    task.evaluate(uni.project(attrs))
-}
-
 class MetamSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
-  private lazy val uni = Universal.build(lake)
-  private lazy val task = TabularTask.forLake(lake)
+  private val house = TableLakes("house")
+  import house.{lake, task, uni}
+  private lazy val out = Metam.run(uni, task, "f1")
 
   test("METAM output contains the base columns") {
-    val out = Metam.run(uni, task, "f1")
     assert(lake.attrsOf(lake.base).forall(out.contains))
   }
 
   test("METAM output preserves the base row count (left joins)") {
-    val out = Metam.run(uni, task, "f1")
-    assert(Cut.rows(uni, out).length == lake.base.df.count())
+    assert(uni.project(out).nRows == lake.base.df.count())
   }
 
   test("METAM output is evaluable") {
-    val out = Metam.run(uni, task, "f1")
-    assert(Cut.evaluate(uni, task, out).isDefined)
+    assert(task.evaluate(uni.project(out)).isDefined)
   }
 
   test("METAM never joins non-joinable distractors") {
-    val out = Metam.run(uni, task, "f1")
     val distractorCols = lake.distractors.flatMap(_.df.columns).filterNot(_ == "code").toSet
     assert(out.toSet.intersect(distractorCols).isEmpty)
   }
 
   test("METAM utility improves or stays equal vs base-only") {
-    val out = Metam.run(uni, task, "f1")
-    val baseF1 = Cut.evaluate(uni, task, lake.attrsOf(lake.base)).get.raw("f1")
-    val outF1 = Cut.evaluate(uni, task, out).get.raw("f1")
+    val baseF1 = task.evaluate(uni.project(lake.attrsOf(lake.base))).get.raw("f1")
+    val outF1 = task.evaluate(uni.project(out)).get.raw("f1")
     assert(outF1 >= baseF1 - 0.05, s"out=$outF1 base=$baseF1")
   }
 
   test("METAM-MO runs and is evaluable") {
-    val out = Metam.runMO(uni, task)
-    assert(Cut.evaluate(uni, task, out).isDefined)
+    assert(task.evaluate(uni.project(Metam.runMO(uni, task))).isDefined)
   }
 }
 
 class StarmieSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
-  private lazy val uni = Universal.build(lake)
+  private val house = TableLakes("house")
+  import house.{lake, uni}
 
   test("column sketch has histogram + moment entries") {
     val vals = Frame.collect(lake.base.df, lake.key, lake.target, Seq("seg_quality")).cols(0)
@@ -105,7 +88,7 @@ class StarmieSpec extends SparkSpec {
   test("run augments the base with similar joinable tables") {
     val out = Starmie.run(lake)
     assert(out.length > lake.attrsOf(lake.base).length)
-    assert(Cut.rows(uni, out).length == lake.base.df.count())
+    assert(uni.project(out).nRows == lake.base.df.count())
   }
 
   test("run with an impossible threshold returns the base unchanged") {
@@ -122,51 +105,46 @@ class StarmieSpec extends SparkSpec {
 
 class FeatureSelectSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
-  private lazy val uni = Universal.build(lake)
-  private lazy val task = TabularTask.forLake(lake)
+  private val house = TableLakes("house")
+  import house.{lake, task, uni}
   private lazy val sU = uni.project(uni.layout.attrs)
+  private lazy val (skSFM, h2o) = (FeatureSelect.skSFM(sU, task), FeatureSelect.h2o(sU, task))
 
   test("SkSFM reduces the column count") {
-    val out = FeatureSelect.skSFM(sU, task)
-    assert(out.length < sU.nCols)
-    assert(out.forall(sU.names.contains))
+    assert(skSFM.length < sU.nCols)
+    assert(skSFM.forall(sU.names.contains))
   }
 
   test("SkSFM keeps all rows") {
-    val out = FeatureSelect.skSFM(sU, task)
-    assert(Cut.rows(uni, out).length == uni.df.count())
+    assert(uni.project(skSFM).nRows == uni.df.count())
   }
 
   test("SkSFM output is evaluable") {
-    assert(Cut.evaluate(uni, task, FeatureSelect.skSFM(sU, task)).isDefined)
+    assert(task.evaluate(uni.project(skSFM)).isDefined)
   }
 
   test("SkSFM retains some informative features and not everything") {
     // at SF=0.01 (200 rows, ~18% flipped labels) importance estimates are
     // noisy — require signal retention, not a clean noise/informative split
-    val kept = FeatureSelect.skSFM(sU, task)
-    val informativeKept = kept.count(c => lake.informativeAttrs.contains(c))
-    assert(informativeKept >= 1, s"kept=$kept")
-    assert(kept.length < sU.nCols)
+    val informativeKept = skSFM.count(c => lake.informativeAttrs.contains(c))
+    assert(informativeKept >= 1, s"kept=$skSFM")
+    assert(skSFM.length < sU.nCols)
   }
 
   test("H2O reduces the column count and keeps rows") {
-    val out = FeatureSelect.h2o(sU, task)
-    assert(out.length < sU.nCols)
-    assert(Cut.rows(uni, out).length == uni.df.count())
+    assert(h2o.length < sU.nCols)
+    assert(uni.project(h2o).nRows == uni.df.count())
   }
 
   test("H2O output is evaluable") {
-    assert(Cut.evaluate(uni, task, FeatureSelect.h2o(sU, task)).isDefined)
+    assert(task.evaluate(uni.project(h2o)).isDefined)
   }
 
   test("regression variants work (avocado lake)") {
-    val rl = Runner.lakeByName(spark, "avocado", 0.01)
-    val ru = Universal.build(rl)
-    val rt = TabularTask.forLake(rl)
+    val avocado = TableLakes("avocado")
+    val (ru, rt) = (avocado.uni, avocado.task)
     val rsU = ru.project(ru.layout.attrs)
-    assert(Cut.evaluate(ru, rt, FeatureSelect.skSFM(rsU, rt)).isDefined)
-    assert(Cut.evaluate(ru, rt, FeatureSelect.h2o(rsU, rt)).isDefined)
+    assert(rt.evaluate(ru.project(FeatureSelect.skSFM(rsU, rt))).isDefined)
+    assert(rt.evaluate(ru.project(FeatureSelect.h2o(rsU, rt))).isDefined)
   }
 }

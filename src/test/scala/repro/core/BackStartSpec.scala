@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 import repro.graph.GraphSpace
 import repro.lake.GraphLake
 
@@ -10,13 +10,6 @@ import repro.lake.GraphLake
   * equal clusters can move its s_b.
   */
 class BackStartSpec extends SparkSpec {
-
-  private def tabular(name: String): State = {
-    val lake = Runner.lakeByName(spark, name, 0.01)
-    val uni = Universal.build(lake)
-    val task0 = TabularTask.forLake(lake)
-    new TabularSpace(uni, task0.calibrated(task0.evaluate(uni.project(uni.layout.attrs)).get)).backStart
-  }
 
   // Recorded at SF 0.01, not derived: any change is a change of behaviour.
   private val expected: Map[String, String] = Map(
@@ -28,7 +21,8 @@ class BackStartSpec extends SparkSpec {
 
   Seq("movie", "house", "avocado", "mental").foreach { name =>
     test(s"$name: BackSt reproduces its golden") {
-      assert(tabular(name).toString == expected(name))
+      val f = TableLakes(name)
+      assert(new TabularSpace(f.uni, f.task).backStart.toString == expected(name))
     }
   }
 

@@ -3,26 +3,29 @@ package repro.core
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions.udf
 import org.apache.spark.sql.types._
-import repro.{Oracle, SparkSpec}
-import repro.lake.TabularLake
+import repro.{Oracle, SparkSpec, TableLakes}
+import repro.ml.Frame
 
 /** A state evaluated from D_U's driver copy must give what the Spark
-  * reference path gives: `task.evaluate(uni.materialize(s))`. The searches
-  * themselves must run no Spark job over D_U.
+  * reference path gives: the task's evaluation of the state's rows and
+  * columns as Spark selects them, cut from one batched reference query per
+  * lake (`TableLakes.Fixture.referenceFrames`), which one test proves equal
+  * to `Frame.collect(uni.materialize(s))`. The searches themselves must run
+  * no Spark job over D_U.
   */
 class DriverEvaluationSpec extends SparkSpec {
 
-  private final class Fixture(lake: TabularLake) {
-    val uni: UniversalTable = Universal.build(lake)
-    val task: TabularTask =
-      TabularTask.forLake(lake).calibrated(uni.materialize(State.full(uni.layout.width)))
-    val space = new TabularSpace(uni, task)
-    private val l = uni.layout
+  private final class Fixture(name: String) {
+    private val shared = TableLakes(name)
+    lazy val uni: UniversalTable = shared.uni
+    lazy val task: TabularTask = shared.task
+    lazy val space = new TabularSpace(uni, task)
+    private lazy val l = uni.layout
 
     /** The smallest dataset the clusters allow: one cluster kept per
       * segment attribute, the combination with the fewest rows.
       */
-    val smallest: State = {
+    lazy val smallest: State = {
       val cs = uni.combinations
       val combo = cs.clusters(cs.counts.indices.minBy(c => (cs.counts(c), cs.clusters(c).mkString(","))))
       l.segAttrs.zipWithIndex.foldLeft(space.full) { case (s, (seg, i)) =>
@@ -31,47 +34,43 @@ class DriverEvaluationSpec extends SparkSpec {
       }
     }
 
-    def states: Seq[(String, State)] =
+    lazy val states: Seq[(String, State)] =
       Seq("full" -> space.full, "backStart" -> space.backStart) ++
         l.segAttrs.map(seg => s"$seg cluster 0 masked" -> space.full.clear(l.clusterIdx(seg, 0))) ++
         Seq(s"only ${l.attrs.head} kept" -> l.attrs.tail.foldLeft(space.full)((s, a) => s.clear(l.attrIdx(a))),
           "smallest" -> smallest)
+
+    /** Each state's Spark reference `Frame`, from one query over D_U. */
+    lazy val references: Map[String, Frame] =
+      states.map(_._1).zip(shared.referenceFrames(states.map(_._2))).toMap
   }
 
-  private lazy val house = new Fixture(Runner.lakeByName(spark, "house", 0.01))
-  private lazy val avocado = new Fixture(Runner.lakeByName(spark, "avocado", 0.01))
-  private lazy val mental = new Fixture(Runner.lakeByName(spark, "mental", 0.01))
+  private val fixtures = Seq("house", "avocado", "mental").map(n => n -> new Fixture(n)).toMap
+  private def house = fixtures("house")
 
-  private def bits(m: Map[String, Double]): Map[String, Long] =
-    m.map { case (k, v) => k -> java.lang.Double.doubleToLongBits(v) }
-
-  /** Equal apart from the wall-clock `train` time and its normalized value. */
-  private def assertSame(f: Fixture, name: String, s: State): Unit = {
-    val driver = f.space.evaluate(s)
-    val ref = f.task.evaluate(f.uni.materialize(s))
-    assert(driver.isDefined == ref.isDefined, s"$name: usable on one side only")
-    for (a <- driver; b <- ref) {
-      assert(bits(a.raw - "train") == bits(b.raw - "train"), s"$name: raw metrics differ: ${a.raw} vs ${b.raw}")
-      val train = f.task.measureNames.indexOf("train")
-      val normA = a.norm.indices.filter(_ != train).map(a.norm)
-      val normB = b.norm.indices.filter(_ != train).map(b.norm)
-      assert(normA.map(java.lang.Double.doubleToLongBits) == normB.map(java.lang.Double.doubleToLongBits),
-        s"$name: norm differs")
-      assert((a.rows, a.cols) == (b.rows, b.cols), s"$name: size differs")
+  test("house: each state's batched reference Frame equals Frame.collect of its materialize") {
+    val u = house.uni
+    house.states.foreach { case (what, s) =>
+      TableLakes.assertSameFrame(what, house.references(what),
+        Frame.collect(u.materialize(s), u.key, u.target, u.layout.attrsOf(s)))
     }
   }
 
-  Seq("house" -> (() => house), "avocado" -> (() => avocado), "mental" -> (() => mental)).foreach {
-    case (name, fixture) =>
-      test(s"$name: driver-side evaluation equals the Spark path on sampled states") {
-        val f = fixture()
-        f.states.foreach { case (what, s) => assertSame(f, s"$name $what", s) }
+  Seq("house", "avocado", "mental").foreach { name =>
+    test(s"$name: driver-side evaluation equals the Spark path on sampled states") {
+      val f = fixtures(name)
+      f.states.foreach { case (what, s) =>
+        val driver = f.space.evaluate(s)
+        val ref = f.task.evaluate(f.references(what))
+        assert(driver.isDefined == ref.isDefined, s"$name $what: usable on one side only")
+        for (a <- driver; b <- ref) TableLakes.assertSameEval(f.task, s"$name $what", a, b)
       }
+    }
   }
 
-  Seq("mental" -> (() => mental), "avocado" -> (() => avocado)).foreach { case (name, fixture) =>
+  Seq("mental", "avocado").foreach { name =>
     test(s"$name: the searches and the winners' exact evaluations run no Spark job over D_U") {
-      val f = fixture()
+      val f = fixtures(name)
       val boom = udf(() => sys.error("a Spark job ran over D_U"): Boolean).asNondeterministic()
       val noSpark = f.uni.copy(df = f.uni.df.filter(boom()))
       val e = intercept[Exception](noSpark.materialize(f.space.full).count())
@@ -86,7 +85,7 @@ class DriverEvaluationSpec extends SparkSpec {
   test("house: the smallest state is too small to train on both paths") {
     assert(house.uni.rowCount(house.smallest) < TabularTask.MinRows)
     assert(house.space.evaluate(house.smallest).isEmpty)
-    assert(house.task.evaluate(house.uni.materialize(house.smallest)).isEmpty)
+    assert(house.task.evaluate(house.references("smallest")).isEmpty)
   }
 
   test("oracle: driver-side selection of a masked-cluster state equals DuckDB") {

@@ -1,9 +1,8 @@
 package repro.core
 
 import java.security.MessageDigest
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 import repro.baselines.FeatureSelect
-import repro.ml.Frame
 
 /** Golden exact evaluations of every Table lake at SF 0.01, through the
   * search's own path (`TabularSpace.evaluate`). Pinned per lake:
@@ -13,40 +12,13 @@ import repro.ml.Frame
   *    SkSFM and H2O outputs: each state's raw metric bits without `train`,
   *    and its rows and cols, or "unusable".
   *
-  * SkSFM and H2O select from s_U collected through Spark; their outputs
+  * SkSFM and H2O select from s_U collected through Spark (the lake's
+  * shared reference `Frame`); their outputs
   * are all of D_U's rows, so they are evaluated as the state keeping
   * exactly their attributes. A refactor of the evaluation path must
   * reproduce these strings exactly.
   */
 class EvaluationGoldenSpec extends SparkSpec {
-
-  private final class Fixture(name: String) {
-    private val lake = Runner.lakeByName(spark, name, 0.01)
-    private val uni = Universal.build(lake)
-    private val task = TabularTask.forLake(lake)
-    private val space = new TabularSpace(uni, task)
-    private val l = uni.layout
-
-    def sU: String = render(space.evaluate(space.full))
-
-    def digest: String = {
-      val frame = Frame.collect(uni.materialize(space.full), uni.key, uni.target, l.attrs)
-      val selected = Seq(FeatureSelect.skSFM(frame, task), FeatureSelect.h2o(frame, task)).map { attrs =>
-        l.attrs.filterNot(attrs.contains).foldLeft(space.full)((s, a) => s.clear(l.attrIdx(a)))
-      }
-      val states = (space.backStart +: space.neighborsReduct(space.full)) ++ selected
-      val md = MessageDigest.getInstance("SHA-256")
-      states.foreach { s =>
-        val line = space.evaluate(s).fold("unusable") { r =>
-          (r.raw - "train").toSeq.sorted
-            .map { case (k, v) => s"$k=${java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(v))}" }
-            .mkString(",") + s";${r.rows};${r.cols}"
-        }
-        md.update(s"$s:$line\n".getBytes("UTF-8"))
-      }
-      md.digest().map(b => f"${b & 0xff}%02x").mkString
-    }
-  }
 
   private def render(r: Option[EvalResult]): String = r.fold("unusable") { e =>
     (e.raw - "train").toSeq.sorted.map { case (k, v) => s"$k=$v" }.mkString(",") + s" (${e.rows},${e.cols})"
@@ -69,8 +41,24 @@ class EvaluationGoldenSpec extends SparkSpec {
 
   Seq("movie", "house", "avocado", "mental").foreach { name =>
     test(s"$name: s_U, BackSt, the one-flip reducts and SkSFM/H2O evaluate to their golden") {
-      val f = new Fixture(name)
-      assert((f.sU, f.digest) == expected(name))
+      val f = TableLakes(name)
+      val space = new TabularSpace(f.uni, f.task)
+      val l = space.layout
+      val sU = render(space.evaluate(space.full))
+      val selected = Seq(FeatureSelect.skSFM(f.reference, f.task), FeatureSelect.h2o(f.reference, f.task)).map { attrs =>
+        l.attrs.filterNot(attrs.contains).foldLeft(space.full)((s, a) => s.clear(l.attrIdx(a)))
+      }
+      val states = (space.backStart +: space.neighborsReduct(space.full)) ++ selected
+      val md = MessageDigest.getInstance("SHA-256")
+      states.foreach { s =>
+        val line = space.evaluate(s).fold("unusable") { r =>
+          (r.raw - "train").toSeq.sorted
+            .map { case (k, v) => s"$k=${java.lang.Long.toHexString(java.lang.Double.doubleToLongBits(v))}" }
+            .mkString(",") + s";${r.rows};${r.cols}"
+        }
+        md.update(s"$s:$line\n".getBytes("UTF-8"))
+      }
+      assert((sU, md.digest().map(b => f"${b & 0xff}%02x").mkString) == expected(name))
     }
   }
 }

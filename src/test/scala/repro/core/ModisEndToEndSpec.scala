@@ -1,17 +1,15 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 
-/** End-to-end MODis runs on a tiny real lake: Spark materialization, real
+/** End-to-end MODis runs on a tiny real lake: driver-side evaluation, real
   * model training, surrogate estimation — qualitative properties only
   * (winners, coverage, budget), never wall-clock assertions.
   */
 class ModisEndToEndSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
-  private lazy val uni = Universal.build(lake)
-  private lazy val task = TabularTask.forLake(lake)
-    .calibrated(uni.materialize(State.full(uni.layout.width)))
+  private val house = TableLakes("house")
+  import house.{task, uni}
   private lazy val space = new TabularSpace(uni, task)
   private val cfg = ModisConfig(n = 40, eps = 0.2, maxl = 4, bootstrap = 15)
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 
 class RunnerSpec extends SparkSpec {
 
@@ -37,9 +37,7 @@ class RunnerSpec extends SparkSpec {
         "SkSFM", "H2O", "ApxMODis", "NOBiMODis", "BiMODis", "DivMODis"))
 
       // Original is s_U evaluated from the driver copy, apart from the wall-clock train time
-      val lake = Runner.lakeByName(spark, name, 0.01)
-      val uni = Universal.build(lake)
-      val ref = TabularTask.forLake(lake).evaluate(uni.project(uni.layout.attrs)).get
+      val ref = TableLakes(name).task.evaluate(TableLakes(name).uni.driverCopy).get
       val original = reports.head
       assert(original.raw - "train" == ref.raw - "train")
       assert((original.rows.toInt, original.cols) == (ref.rows, ref.cols))

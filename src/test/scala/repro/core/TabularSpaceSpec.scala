@@ -1,13 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 
 class TabularSpaceSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "movie", 0.01)
-  private lazy val uni = Universal.build(lake)
-  private lazy val task = TabularTask.forLake(lake)
-    .calibrated(uni.materialize(State.full(uni.layout.width)))
+  private val movie = TableLakes("movie")
+  import movie.{lake, task, uni}
   private lazy val space = new TabularSpace(uni, task)
 
   test("full state is admissible") {
@@ -58,16 +56,15 @@ class TabularSpaceSpec extends SparkSpec {
 
   test("rowCountEstimate equals materialized count on sample states") {
     Seq("movie", "house", "avocado", "mental").foreach { name =>
-      val lake = Runner.lakeByName(spark, name, 0.01)
-      val uni = Universal.build(lake)
-      val space = new TabularSpace(uni, TabularTask.forLake(lake))
+      val f = TableLakes(name)
+      val space = new TabularSpace(f.uni, f.task)
       val l = space.layout
       val seg = l.segAttrs.head
       // random states masking a random subset of clusters on every segment attribute
       val rng = new scala.util.Random(17)
       val masked = Seq.fill(12) {
         l.segAttrs.foldLeft(space.full) { (s, a) =>
-          val k = uni.clusterings(a).k
+          val k = f.uni.clusterings(a).k
           rng.shuffle((0 until k).toList).take(1 + rng.nextInt(k)).foldLeft(s)((t, c) => t.clear(l.clusterIdx(a, c)))
         }
       }
@@ -75,12 +72,11 @@ class TabularSpaceSpec extends SparkSpec {
         space.full,
         space.full.clear(l.clusterIdx(seg, 0)),
         space.backStart) ++ masked
-      states.foreach { s =>
-        val keys = uni.materialize(s).select(uni.key).collect().map(_.getLong(0)).sorted
-        val expected = keys.length.toLong
-        assert(space.rowCountEstimate(s) == expected, s"$name state $s")
-        assert(uni.rowIndices(s).length == expected, s"$name state $s")
-        assert(uni.rowIndices(s).map(uni.driverCopy.keys).toSeq == keys.toSeq, s"$name state $s")
+      // Spark's rows of every state from one job over D_U
+      states.zip(f.referenceFrames(states)).foreach { case (s, ref) =>
+        assert(space.rowCountEstimate(s) == ref.nRows, s"$name state $s")
+        assert(f.uni.rowIndices(s).length == ref.nRows, s"$name state $s")
+        assert(f.uni.rowIndices(s).map(f.uni.driverCopy.keys).toSeq == ref.keys.toSeq, s"$name state $s")
       }
     }
   }

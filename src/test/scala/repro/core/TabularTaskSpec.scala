@@ -1,19 +1,20 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TableLakes}
 
 class TabularTaskSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "house", 0.01)
-  private lazy val uni = Universal.build(lake)
+  private val house = TableLakes("house")
+  import house.{lake, uni}
   private lazy val task = TabularTask.forLake(lake)
   private lazy val fullDf = uni.materialize(State.full(uni.layout.width))
+  private lazy val sU = task.evaluate(fullDf).get
 
   test("task assignment follows the paper's table") {
-    assert(TabularTask.forLake(Runner.lakeByName(spark, "movie", 0.01)).modelKind == ModelKind.GBM)
+    assert(TabularTask.forLake(TableLakes("movie").lake).modelKind == ModelKind.GBM)
     assert(task.modelKind == ModelKind.RF)
-    assert(TabularTask.forLake(Runner.lakeByName(spark, "avocado", 0.01)).modelKind == ModelKind.Ridge)
-    assert(TabularTask.forLake(Runner.lakeByName(spark, "mental", 0.01)).modelKind == ModelKind.GBM)
+    assert(TabularTask.forLake(TableLakes("avocado").lake).modelKind == ModelKind.Ridge)
+    assert(TabularTask.forLake(TableLakes("mental").lake).modelKind == ModelKind.GBM)
   }
 
   test("unknown lake name is rejected") {
@@ -30,26 +31,22 @@ class TabularTaskSpec extends SparkSpec {
   }
 
   test("evaluation produces classification metrics for house") {
-    val r = task.evaluate(fullDf).get
     Seq("acc", "prec", "rec", "f1", "auc", "train", "fsc", "mi").foreach { k =>
-      assert(r.raw.contains(k), s"missing $k")
+      assert(sU.raw.contains(k), s"missing $k")
     }
-    assert(r.raw("acc") > 0.5, s"acc=${r.raw("acc")}")
+    assert(sU.raw("acc") > 0.5, s"acc=${sU.raw("acc")}")
   }
 
   test("evaluation produces regression metrics for movie") {
-    val ml = Runner.lakeByName(spark, "movie", 0.01)
-    val mu = Universal.build(ml)
-    val mt = TabularTask.forLake(ml)
-    val r = mt.evaluate(mu.materialize(State.full(mu.layout.width))).get
+    val movie = TableLakes("movie")
+    val r = TabularTask.forLake(movie.lake).evaluate(movie.uni.materialize(State.full(movie.uni.layout.width))).get
     Seq("mse", "mae", "rmse", "r2", "acc").foreach(k => assert(r.raw.contains(k)))
     assert(r.raw("mse") > 0.0)
   }
 
   test("norm vector is aligned with measureNames and in (0,1]") {
-    val r = task.evaluate(fullDf).get
-    assert(r.norm.length == task.measureNames.length)
-    assert(r.norm.forall(v => v > 0 && v <= 1.0))
+    assert(sU.norm.length == task.measureNames.length)
+    assert(sU.norm.forall(v => v > 0 && v <= 1.0))
   }
 
   test("normalize inverts accuracy-like measures") {
@@ -89,16 +86,14 @@ class TabularTaskSpec extends SparkSpec {
   }
 
   test("output size is reported") {
-    val r = task.evaluate(fullDf).get
-    assert(r.rows == fullDf.count())
-    assert(r.cols == fullDf.columns.length - 2)
+    assert(sU.rows == fullDf.count())
+    assert(sU.cols == fullDf.columns.length - 2)
   }
 
   test("dropping noise columns does not hurt accuracy much") {
     val keep = fullDf.columns.filterNot(c => lake.noiseAttrs.contains(c))
-    val rFull = task.evaluate(fullDf).get
     val rClean = task.evaluate(fullDf.select(keep.map(org.apache.spark.sql.functions.col): _*)).get
-    assert(rClean.raw("acc") >= rFull.raw("acc") - 0.08,
-      s"clean=${rClean.raw("acc")} full=${rFull.raw("acc")}")
+    assert(rClean.raw("acc") >= sU.raw("acc") - 0.08,
+      s"clean=${rClean.raw("acc")} full=${sU.raw("acc")}")
   }
 }

@@ -2,22 +2,26 @@ package repro.core
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
-import repro.SparkSpec
-import repro.Oracle
+import repro.{Oracle, SparkSpec, TableLakes}
 import repro.lake.{LakeTable, TabularLake}
-import repro.ml.Frame
 
 class UniversalSpec extends SparkSpec {
 
-  private lazy val lake = Runner.lakeByName(spark, "movie", 0.01)
-  private lazy val uni = Universal.build(lake)
+  private val movie = TableLakes("movie")
+  import movie.{lake, uni}
 
-  /** A tiny source table: `id` and the given double columns. */
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** A tiny source table: `id` and the given double columns, any cell nullable. */
   private def table(name: String, fields: Seq[String], rows: Seq[Row]): LakeTable = {
-    val schema = StructType(StructField("id", LongType, nullable = false) +:
-      fields.map(StructField(_, DoubleType, nullable = false)))
+    val schema = StructType(StructField("id", LongType, nullable = true) +:
+      fields.map(StructField(_, DoubleType, nullable = true)))
     LakeTable(name, spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema))
   }
+
+  /** A hand-built lake over `base` and `aux`, with `f` its one informative attribute. */
+  private def tinyLake(base: LakeTable, aux: Seq[LakeTable], segs: Seq[String] = Nil, classification: Boolean = true) =
+    TabularLake("tiny", "id", "target", base, aux, Nil, segs, classification, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
 
   test("universal table preserves every labelled base row") {
     assert(uni.df.count() == lake.base.df.count())
@@ -147,8 +151,7 @@ class UniversalSpec extends SparkSpec {
     // the aux table covers two keys in three, so the left join leaves nulls
     val aux = table("a", Seq("seg_aux"),
       (0L until 60L).filter(_ % 3 != 0).map(i => Row(i, (i % 4) * 2.0)))
-    val lake = TabularLake("nulls", "id", "target", base, Seq(aux), Nil, Seq("seg_aux"),
-      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    val lake = tinyLake(base, Seq(aux), Seq("seg_aux"))
     val e = intercept[IllegalArgumentException](Universal.build(lake))
     assert(e.getMessage.contains("seg_aux"))
     // a NaN cell has no cluster either (the driver reads null as NaN)
@@ -162,8 +165,7 @@ class UniversalSpec extends SparkSpec {
     val rows = (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5))
     val base = table("b", Seq("target", "f"), rows)
     val aux = table("a", Seq("g"), (0L until 60L).map(i => Row(i, i * 2.0)))
-    val lake = TabularLake("dups", "id", "target", base, Seq(aux), Nil, Nil,
-      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    val lake = tinyLake(base, Seq(aux))
     assert(Universal.build(lake).driverCopy.nRows == 60)
     // the join would repeat key 7's rows; the driver must not keep one silently
     val dupBase = lake.copy(base = table("b2", Seq("target", "f"), rows :+ Row(7L, 1.0, 9.0)))
@@ -174,26 +176,32 @@ class UniversalSpec extends SparkSpec {
     assert(e2.getMessage.contains("table a2") && e2.getMessage.contains("id value 7"), e2.getMessage)
   }
 
+  test("a null key or a null label in the base table is an error naming the table and the column") {
+    val rows = (0L until 60L).map(i => Row(i, i * 0.3, i * 0.5))
+    val lake = tinyLake(table("b", Seq("target", "f"), rows), Nil, classification = false)
+    assert(Universal.build(lake).driverCopy.nRows == 60)
+    val e = intercept[IllegalArgumentException](
+      Universal.build(lake.copy(base = table("b2", Seq("target", "f"), rows :+ Row(null, 1.0, 9.0)))))
+    assert(e.getMessage.contains("table b2") && e.getMessage.contains("null id"), e.getMessage)
+    // a NaN label makes every regression metric NaN, which the grid would file in its best cell
+    val e2 = intercept[IllegalArgumentException](
+      Universal.build(lake.copy(base = table("b3", Seq("target", "f"), rows.updated(7, Row(7L, null, 3.5))))))
+    assert(e2.getMessage.contains("table b3") && e2.getMessage.contains("null or NaN target at id value 7"), e2.getMessage)
+  }
+
   test("a non-key column in two sources is an error naming it and both tables") {
     val base = table("t_base", Seq("target", "f"), (0L until 60L).map(i => Row(i, (i % 2).toDouble, i * 0.5)))
     // the aux table repeats the base's column f: the Spark join could not tell the two apart
     val aux = table("t_aux", Seq("g", "f"), (0L until 60L).map(i => Row(i, i * 2.0, i * 3.0)))
-    val lake = TabularLake("shared", "id", "target", base, Seq(aux), Nil, Nil,
-      classification = true, informativeAttrs = Set("f"), noiseAttrs = Set.empty)
+    val lake = tinyLake(base, Seq(aux))
     val e = intercept[IllegalArgumentException](Universal.build(lake))
     assert(Seq("column f", "t_base", "t_aux").forall(e.getMessage.contains), e.getMessage)
   }
 
   test("driver join equals the Spark join bit for bit on every Table lake") {
-    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
     for (name <- TabularTask.Specs.map(_.lake.name)) {
-      val l = Runner.lakeByName(spark, name, 0.01)
-      val u = Universal.build(l)
-      val (d, r) = (u.driverCopy, Frame.collect(u.df, u.key, u.target, u.layout.attrs))
-      assert(d.keys.toSeq == r.keys.toSeq, name)
-      assert(d.names == r.names, name)
-      assert(bits(d.y) == bits(r.y), name)
-      d.names.indices.foreach(j => assert(bits(d.cols(j)) == bits(r.cols(j)), s"$name ${d.names(j)}"))
+      val d = TableLakes(name).uni.driverCopy
+      TableLakes.assertSameFrame(name, d, TableLakes(name).reference)
       // the aux tables cover only some keys, so the comparison includes NaN cells
       assert(d.cols.exists(_.exists(_.isNaN)), name)
     }
@@ -211,7 +219,6 @@ class UniversalSpec extends SparkSpec {
     val saved = conf.map { case (k, _) => k -> spark.conf.get(k) }
     conf.foreach { case (k, v) => spark.conf.set(k, v) }
     val other = try Universal.build(shuffled) finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
-    def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
     lake.segmentAttrs.foreach { a =>
       assert(bits(other.clusterings(a).boundaries) == bits(uni.clusterings(a).boundaries), a)
       assert(bits(other.clusterings(a).centroids) == bits(uni.clusterings(a).centroids), a)
@@ -219,10 +226,7 @@ class UniversalSpec extends SparkSpec {
     val (c, o) = (uni.combinations, other.combinations)
     assert(c.clusters.map(_.toSeq).toSeq == o.clusters.map(_.toSeq).toSeq)
     assert(c.counts.toSeq == o.counts.toSeq)
-    val (d, e) = (uni.driverCopy, other.driverCopy)
-    assert(d.keys.toSeq == e.keys.toSeq)
-    assert(bits(d.y) == bits(e.y))
-    assert(d.cols.map(bits).toSeq == e.cols.map(bits).toSeq)
+    TableLakes.assertSameFrame("reshuffled", uni.driverCopy, other.driverCopy)
     assert(c.ofRow.toSeq == o.ofRow.toSeq)
   }
 
