@@ -116,7 +116,7 @@ class FeatureSelectSpec extends SparkSpec {
   }
 
   test("SkSFM keeps all rows") {
-    assert(uni.project(skSFM).nRows == uni.df.count())
+    assert(uni.project(skSFM).nRows == house.reference.nRows)
   }
 
   test("SkSFM output is evaluable") {
@@ -133,7 +133,7 @@ class FeatureSelectSpec extends SparkSpec {
 
   test("H2O reduces the column count and keeps rows") {
     assert(h2o.length < sU.nCols)
-    assert(uni.project(h2o).nRows == uni.df.count())
+    assert(uni.project(h2o).nRows == house.reference.nRows)
   }
 
   test("H2O output is evaluable") {

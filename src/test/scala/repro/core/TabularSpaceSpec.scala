@@ -96,7 +96,7 @@ class TabularSpaceSpec extends SparkSpec {
 
   test("evaluate on full state yields usable metrics") {
     val r = space.evaluate(space.full).get
-    assert(r.rows == uni.df.count())
+    assert(r.rows == movie.reference.nRows)
     assert(r.norm.length == task.measureNames.length)
   }
 

@@ -50,11 +50,11 @@ class UniversalSpec extends SparkSpec {
   }
 
   test("combination counts sum to the row count") {
-    assert(uni.combinations.counts.sum == uni.df.count())
+    assert(uni.combinations.counts.sum == movie.reference.nRows)
   }
 
   test("rowCount of the full state equals the table size") {
-    assert(uni.rowCount(State.full(uni.layout.width)) == uni.df.count())
+    assert(uni.rowCount(State.full(uni.layout.width)) == movie.reference.nRows)
   }
 
   test("rowCount after masking one cluster matches a Spark filter") {
